@@ -280,15 +280,10 @@ func run(args []string) error {
 }
 
 func solve(name string, e *core.Engine, rng *rand.Rand) (*core.Placement, error) {
+	if greedy, ok := core.Solver(name); ok {
+		return greedy(e)
+	}
 	switch name {
-	case "algorithm1":
-		return core.Algorithm1(e)
-	case "algorithm2":
-		return core.Algorithm2(e)
-	case "combined":
-		return core.GreedyCombined(e)
-	case "lazy":
-		return core.GreedyLazy(e)
 	case "exhaustive":
 		return opt.Exhaustive(e, opt.Options{})
 	case "maxcardinality":

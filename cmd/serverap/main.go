@@ -170,16 +170,9 @@ func runServe(cfg serve.Config, addr string, shards int, drainWait time.Duration
 // solveWorkers runs the named solver on a single-worker engine: the oracle
 // side of the bit-identity check.
 func solveWorkers(algo string, e *core.Engine) (*core.Placement, error) {
-	switch algo {
-	case "algorithm1":
-		return core.Algorithm1Workers(e, 1)
-	case "algorithm2":
-		return core.Algorithm2Workers(e, 1)
-	case "combined":
-		return core.GreedyCombinedWorkers(e, 1)
-	case "lazy":
-		return core.GreedyLazy(e)
-	default:
+	solve, ok := core.Solver(algo)
+	if !ok {
 		return nil, fmt.Errorf("unknown algo %q", algo)
 	}
+	return solve(e)
 }

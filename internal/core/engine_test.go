@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"roadside/internal/flow"
@@ -219,17 +220,74 @@ func TestStepGainsSumToObjective(t *testing.T) {
 	}
 }
 
-// GreedyLazy must match GreedyCombined's objective value exactly (ties may
-// reorder nodes but cannot change the attracted count on generic instances).
+// latticeProblem builds an n×n grid of unit two-way streets carrying flows
+// of volume 1, 2 or 3 with α = 1 along shortest paths. Integer detours and
+// volumes make equal marginal gains common, so the greedy tie-break decides
+// most steps.
+func latticeProblem(tb testing.TB, rng *rand.Rand, n, flows, k int, u utility.Function) *Problem {
+	tb.Helper()
+	b := graph.NewBuilder(n*n, 4*n*n)
+	for i := 0; i < n*n; i++ {
+		b.AddNode(geo.Pt(float64(i%n), float64(i/n)))
+	}
+	for i := 0; i < n*n; i++ {
+		if i%n+1 < n {
+			if err := b.AddStreet(graph.NodeID(i), graph.NodeID(i+1), 1); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if i+n < n*n {
+			if err := b.AddStreet(graph.NodeID(i), graph.NodeID(i+n), 1); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fl := make([]flow.Flow, 0, flows)
+	for len(fl) < flows {
+		src, dst := graph.NodeID(rng.Intn(n*n)), graph.NodeID(rng.Intn(n*n))
+		if src == dst {
+			continue
+		}
+		path, _, err := g.ShortestPath(src, dst)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		f, err := flow.New("", path, float64(1+rng.Intn(3)), 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fl = append(fl, f)
+	}
+	fs, err := flow.NewSet(fl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &Problem{Graph: g, Shop: graph.NodeID(rng.Intn(n * n)), Flows: fs, Utility: u, K: k}
+}
+
+// GreedyLazy and GreedyLazyWarm are evaluation strategies of the combined
+// rule, so they must reproduce GreedyCombined bit for bit — nodes, step
+// gains and objective — on random instances and on tie-heavy lattices,
+// where only a heap ordered like the scan picks the same winner.
 func TestLazyMatchesCombined(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
+	var problems []*Problem
 	for trial := 0; trial < 15; trial++ {
-		p := randomProblem(t, rng, 35, 20, 6, utility.Linear{D: 90})
-		e, err := NewEngine(p)
-		if err != nil {
-			t.Fatal(err)
+		problems = append(problems, randomProblem(t, rng, 35, 20, 6, utility.Linear{D: 90}))
+	}
+	for trial := 0; trial < 40; trial++ {
+		var u utility.Function = utility.Threshold{D: 2}
+		if trial%2 == 1 {
+			u = utility.Linear{D: 4}
 		}
-		lazy, err := GreedyLazy(e)
+		problems = append(problems, latticeProblem(t, rng, 5+rng.Intn(5), 12, 4, u))
+	}
+	for trial, p := range problems {
+		e, err := NewEngine(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,8 +295,30 @@ func TestLazyMatchesCombined(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(lazy.Attracted-comb.Attracted) > 1e-6 {
-			t.Fatalf("trial %d: lazy %v != combined %v", trial, lazy.Attracted, comb.Attracted)
+		lazy, err := GreedyLazy(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := GreedyLazyWarm(e, e.NewWarm())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []struct {
+			name string
+			pl   *Placement
+		}{{"lazy", lazy}, {"warm lazy", warm}} {
+			if !reflect.DeepEqual(got.pl.Nodes, comb.Nodes) {
+				t.Fatalf("trial %d: %s nodes %v != combined %v", trial, got.name, got.pl.Nodes, comb.Nodes)
+			}
+			for i := range comb.StepGains {
+				if math.Float64bits(got.pl.StepGains[i]) != math.Float64bits(comb.StepGains[i]) {
+					t.Fatalf("trial %d: %s step %d gain %v != combined %v",
+						trial, got.name, i, got.pl.StepGains[i], comb.StepGains[i])
+				}
+			}
+			if math.Float64bits(got.pl.Attracted) != math.Float64bits(comb.Attracted) {
+				t.Fatalf("trial %d: %s objective %v != combined %v", trial, got.name, got.pl.Attracted, comb.Attracted)
+			}
 		}
 	}
 }

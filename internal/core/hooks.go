@@ -7,13 +7,12 @@ import (
 
 // Determinism-audit hooks.
 //
-// The solvers and the engine constructor promise bit-identical results at
-// every worker count (see scan.go and newEngine). Inside this package the
-// promise is pinned on fixed instances by parallel_test.go; the randomized
-// invariant harness (internal/invariant) re-checks it on generated
-// instances, which needs the worker knob and an arena digest outside the
-// package. These wrappers exist for that audit; production callers should
-// use the GOMAXPROCS entry points above them.
+// The engine constructor promises bit-identical arenas at every worker
+// count (see newEngine). Inside this package the promise is pinned on fixed
+// instances by parallel_test.go; the randomized invariant harness
+// (internal/invariant) re-checks it on generated instances, which needs the
+// worker knob and an arena digest outside the package. These wrappers exist
+// for that audit; production callers should use NewEngine.
 
 // NewEngineWorkers is NewEngine with an explicit worker count. workers <= 1
 // is the serial reference construction the parallel result must match
@@ -31,21 +30,23 @@ func NewEngineMaxShard(p *Problem, workers, maxShardVisits int) (*Engine, error)
 	return buildEngine(p, workers, maxShardVisits)
 }
 
-// Algorithm1Workers is Algorithm1 with an explicit scan worker count.
-func Algorithm1Workers(e *Engine, workers int) (*Placement, error) {
-	return algorithm1(e, workers)
-}
+// Algorithm1Workers is Algorithm1; workers is ignored.
+//
+// Deprecated: the candidate scan is serial, so there is no worker knob.
+// Use Algorithm1.
+func Algorithm1Workers(e *Engine, workers int) (*Placement, error) { return Algorithm1(e) }
 
-// Algorithm2Workers is Algorithm2 with an explicit scan worker count.
-func Algorithm2Workers(e *Engine, workers int) (*Placement, error) {
-	return algorithm2(e, workers)
-}
+// Algorithm2Workers is Algorithm2; workers is ignored.
+//
+// Deprecated: the candidate scan is serial, so there is no worker knob.
+// Use Algorithm2.
+func Algorithm2Workers(e *Engine, workers int) (*Placement, error) { return Algorithm2(e) }
 
-// GreedyCombinedWorkers is GreedyCombined with an explicit scan worker
-// count.
-func GreedyCombinedWorkers(e *Engine, workers int) (*Placement, error) {
-	return greedyCombined(e, workers)
-}
+// GreedyCombinedWorkers is GreedyCombined; workers is ignored.
+//
+// Deprecated: the candidate scan is serial, so there is no worker knob.
+// Use GreedyCombined.
+func GreedyCombinedWorkers(e *Engine, workers int) (*Placement, error) { return GreedyCombined(e) }
 
 // Fingerprint digests the engine's CSR arenas (offsets, flow indices,
 // detours, and precomputed gains, all by exact bit pattern) into one FNV-1a

@@ -40,8 +40,8 @@ func TestFingerprintStableAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestWorkerHooksMatchPublicAPI pins that the audit hooks are the public
-// solvers with the worker knob exposed.
+// TestWorkerHooksMatchPublicAPI pins that the deprecated worker-count
+// wrappers are the public solvers at any worker count.
 func TestWorkerHooksMatchPublicAPI(t *testing.T) {
 	p := fig4Problem(t, utility.Linear{D: 6})
 	e, err := NewEngine(p)

@@ -17,7 +17,7 @@ import (
 // multiple RAPs on one flow composes (probabilistic coverage). Models plug
 // in at engine construction: per-visit gains are precomputed exactly as in
 // the base engine, so the greedy solvers, warm starts, the exhaustive
-// oracle, and the parallel scans all run unmodified on model engines.
+// oracle, and the candidate scans all run unmodified on model engines.
 //
 // Every model must keep the objective monotone submodular — that is the
 // contract the solvers' termination rules, GreedyLazy's stale-bound heap,

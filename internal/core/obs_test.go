@@ -85,9 +85,11 @@ func TestEngineEmitsPhaseEvents(t *testing.T) {
 	}
 }
 
-// TestSolversEmitStepEvents checks that every solver reports one SolverStep
-// per placed RAP through the observer captured at engine construction, and
-// that WithObserver overrides it without mutating the original engine.
+// TestSolversEmitStepEvents checks that every solver Solver names reports
+// one SolverStep per placed RAP under that name through the observer
+// captured at engine construction, that eager steps report one scan chunk,
+// and that WithObserver overrides the observer without mutating the
+// original engine. Names outside the table are rejected.
 func TestSolversEmitStepEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	p := randomProblem(t, rng, 30, 6, 4, utility.Linear{D: 60})
@@ -96,52 +98,57 @@ func TestSolversEmitStepEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, s := range []struct {
-		name string
-		run  func(*Engine) (*Placement, error)
-	}{
-		{"algorithm1", Algorithm1},
-		{"algorithm2", Algorithm2},
-		{"combined", GreedyCombined},
-		{"lazy", GreedyLazy},
-	} {
+	for _, name := range []string{"algorithm1", "algorithm2", "combined", "lazy"} {
+		run, ok := Solver(name)
+		if !ok {
+			t.Fatalf("Solver(%q) not found", name)
+		}
 		cap := &captureObserver{}
-		pl, err := s.run(e.WithObserver(cap))
+		pl, err := run(e.WithObserver(cap))
 		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if len(cap.steps) != len(pl.Nodes) {
-			t.Fatalf("%s: %d step events for %d placed nodes", s.name, len(cap.steps), len(pl.Nodes))
+			t.Fatalf("%s: %d step events for %d placed nodes", name, len(cap.steps), len(pl.Nodes))
+		}
+		wantChunks := 1
+		if name == "lazy" {
+			wantChunks = 0
 		}
 		for i, ev := range cap.steps {
-			if ev.Solver != s.name && !(s.name == "combined" && ev.Solver == "combined") {
-				t.Fatalf("%s: step %d reported solver %q", s.name, i, ev.Solver)
+			if ev.Solver != name || ev.Chunks != wantChunks {
+				t.Fatalf("%s: step %d reported solver %q with %d scan chunks", name, i, ev.Solver, ev.Chunks)
 			}
 			if ev.Step != i {
-				t.Fatalf("%s: step event %d has Step=%d", s.name, i, ev.Step)
+				t.Fatalf("%s: step event %d has Step=%d", name, i, ev.Step)
 			}
 			if ev.Node != int64(pl.Nodes[i]) {
-				t.Fatalf("%s: step %d node %d, placement has %d", s.name, i, ev.Node, pl.Nodes[i])
+				t.Fatalf("%s: step %d node %d, placement has %d", name, i, ev.Node, pl.Nodes[i])
 			}
 			if ev.Gain != pl.StepGains[i] {
-				t.Fatalf("%s: step %d gain %v, placement has %v", s.name, i, ev.Gain, pl.StepGains[i])
+				t.Fatalf("%s: step %d gain %v, placement has %v", name, i, ev.Gain, pl.StepGains[i])
 			}
-			if s.name != "lazy" && ev.Scanned <= 0 {
-				t.Fatalf("%s: step %d scanned %d candidates", s.name, i, ev.Scanned)
+			if name != "lazy" && ev.Scanned <= 0 {
+				t.Fatalf("%s: step %d scanned %d candidates", name, i, ev.Scanned)
 			}
 		}
 		// The lazy solver additionally reports its heap-build phase.
-		if s.name == "lazy" && !cap.phaseNames()["core.solver.lazy/init"] {
+		if name == "lazy" && !cap.phaseNames()["core.solver.lazy/init"] {
 			t.Fatalf("lazy solver did not emit its init phase; got %v", cap.phaseNames())
 		}
 		// The original engine must still hold its construction-time
 		// observer: rerunning on e directly must not reach cap.
 		before := len(cap.steps)
-		if _, err := s.run(e); err != nil {
+		if _, err := run(e); err != nil {
 			t.Fatal(err)
 		}
 		if len(cap.steps) != before {
-			t.Fatalf("%s: WithObserver leaked into the original engine", s.name)
+			t.Fatalf("%s: WithObserver leaked into the original engine", name)
+		}
+	}
+	for _, name := range []string{"", "annealing", "Combined", "exhaustive"} {
+		if _, ok := Solver(name); ok {
+			t.Errorf("Solver(%q) accepted", name)
 		}
 	}
 }

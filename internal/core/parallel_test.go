@@ -9,7 +9,7 @@ import (
 	"roadside/internal/utility"
 )
 
-// These tests pin the parallelism contract: every parallel code path must
+// These tests pin the parallelism contract: the parallel engine build must
 // produce bit-identical results to its serial reference, for any worker
 // count. Exact float comparison (not tolerance) is the point — parallel
 // fan-out must not change even the last ulp.
@@ -71,56 +71,6 @@ func assertEnginesEqual(t *testing.T, a, b *Engine, nodes, workers int) {
 	}
 	if !reflect.DeepEqual(a.cands, b.cands) {
 		t.Fatalf("nodes=%d workers=%d: cands differ from serial build", nodes, workers)
-	}
-}
-
-// TestGreedyParallelBitIdentical runs each parallelized greedy with serial
-// and parallel scans on an instance large enough to cross the parallel-scan
-// threshold, asserting identical placements, step gains, and objectives.
-func TestGreedyParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	solvers := []struct {
-		name string
-		run  func(e *Engine, workers int) (*Placement, error)
-	}{
-		{"algorithm1", algorithm1},
-		{"algorithm2", algorithm2},
-		{"greedyCombined", greedyCombined},
-	}
-	for trial := 0; trial < 3; trial++ {
-		// 250 nodes > minParallelScan, so workers>1 takes the chunked path.
-		p := randomProblem(t, rng, 250, 60, 8, utility.Linear{D: 60})
-		e, err := newEngine(p, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range solvers {
-			serial, err := s.run(e, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 8} {
-				got, err := s.run(e, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Nodes, serial.Nodes) {
-					t.Fatalf("%s workers=%d: nodes %v != serial %v",
-						s.name, workers, got.Nodes, serial.Nodes)
-				}
-				if !reflect.DeepEqual(got.StepGains, serial.StepGains) {
-					t.Fatalf("%s workers=%d: step gains %v != serial %v",
-						s.name, workers, got.StepGains, serial.StepGains)
-				}
-				if !reflect.DeepEqual(got.StepKinds, serial.StepKinds) {
-					t.Fatalf("%s workers=%d: step kinds differ", s.name, workers)
-				}
-				if got.Attracted != serial.Attracted {
-					t.Fatalf("%s workers=%d: objective %v != serial %v",
-						s.name, workers, got.Attracted, serial.Attracted)
-				}
-			}
-		}
 	}
 }
 

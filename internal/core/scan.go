@@ -4,14 +4,7 @@ import (
 	"math"
 
 	"roadside/internal/graph"
-	"roadside/internal/par"
 )
-
-// minParallelScan is the candidate-count threshold below which the scan
-// runs inline: on tiny instances the fan-out overhead exceeds the work.
-// Serial and parallel scans are bit-identical either way, so the threshold
-// is purely a performance knob.
-const minParallelScan = 192
 
 // placedSet is flat membership over the candidate ID range. The greedy
 // scans test it once per candidate per step, where a map lookup was ~30% of
@@ -36,15 +29,15 @@ type scanned struct {
 	u, c float64
 }
 
-// betterKey is the deterministic candidate order used by every greedy scan:
-// higher gain wins, and equal gains go to the lower node ID. The exact
-// float comparison is intentional — the tie-break must be a strict total
-// order for parallel scans to merge to the same winner as a serial scan.
+// betterKey is the deterministic candidate order used by every greedy scan
+// and by the lazy heap: higher gain wins, and equal gains go to the lower
+// node ID. The exact float comparison is intentional — the tie-break must
+// be a strict total order for the heap top to be exactly the scan's winner.
 func betterKey(g float64, v graph.NodeID, bestG float64, bestV graph.NodeID) bool {
 	if bestV == graph.Invalid {
 		return true
 	}
-	//lint:ignore floatcmp exact tie detection keeps parallel merges bit-identical to serial scans
+	//lint:ignore floatcmp exact tie detection keeps the lazy heap's winner bit-identical to the scan's
 	if g != bestG {
 		return g > bestG
 	}
@@ -75,75 +68,20 @@ func (b *scanBest) consider(s scanned) {
 	}
 }
 
-func (b *scanBest) merge(o scanBest) {
-	if o.byU.node != graph.Invalid && betterKey(o.byU.u, o.byU.node, b.byU.u, b.byU.node) {
-		b.byU = o.byU
-	}
-	if o.byC.node != graph.Invalid && betterKey(o.byC.c, o.byC.node, b.byC.c, b.byC.node) {
-		b.byC = o.byC
-	}
-	if o.bySum.node != graph.Invalid &&
-		betterKey(o.bySum.u+o.bySum.c, o.bySum.node, b.bySum.u+b.bySum.c, b.bySum.node) {
-		b.bySum = o.bySum
-	}
-}
-
-// scanStats reports how much work one candidate scan performed; the
-// greedy solvers forward it to the step observer so candidate-evaluation
-// counts are measured rather than estimated.
-type scanStats struct {
-	evaluated int // unplaced candidates evaluated
-	chunks    int // contiguous chunks the scan fanned across (1 = inline)
-}
-
-// scanCandidates evaluates eval(v) = (uncovered, covered) for every
-// unplaced candidate and returns the argmaxes plus scan statistics. With
-// workers > 1 and enough candidates, contiguous candidate chunks are
-// scanned concurrently; the merge order is irrelevant because betterKey is
-// a strict total order over (gain, node), so the result is bit-identical
-// to the serial scan. eval must be a pure read of solver state — scans
-// never overlap with state mutation.
-func (e *Engine) scanCandidates(
-	workers int,
-	placed placedSet,
-	eval func(v graph.NodeID) (u, c float64),
-) (scanBest, scanStats) {
-	cands := e.cands
-	if workers <= 1 || len(cands) < minParallelScan {
-		best := newScanBest()
-		evaluated := 0
-		for _, v := range cands {
-			if placed.has(v) {
-				continue
-			}
-			u, c := eval(v)
-			best.consider(scanned{node: v, u: u, c: c})
-			evaluated++
-		}
-		return best, scanStats{evaluated: evaluated, chunks: 1}
-	}
-	chunks := par.Chunks(len(cands), workers)
-	partial := make([]scanBest, len(chunks))
-	counts := make([]int, len(chunks))
-	par.Do(len(chunks), workers, func(ci int) {
-		best := newScanBest()
-		evaluated := 0
-		for _, v := range cands[chunks[ci][0]:chunks[ci][1]] {
-			if placed.has(v) {
-				continue
-			}
-			u, c := eval(v)
-			best.consider(scanned{node: v, u: u, c: c})
-			evaluated++
-		}
-		partial[ci] = best
-		counts[ci] = evaluated
-	})
+// scanCandidates evaluates st.marginalGain(v) = (uncovered, covered) for
+// every unplaced candidate, serially in candidate order, and returns the
+// argmaxes plus the number of candidates evaluated. The scan reads st and
+// never mutates it.
+func (e *Engine) scanCandidates(placed placedSet, st greedyState) (scanBest, int) {
 	best := newScanBest()
-	st := scanStats{chunks: len(chunks)}
-	for i, p := range partial {
-		best.merge(p)
-		st.evaluated += counts[i]
+	evaluated := 0
+	for _, v := range e.cands {
+		if placed.has(v) {
+			continue
+		}
+		u, c := st.marginalGain(e, v)
+		best.consider(scanned{node: v, u: u, c: c})
+		evaluated++
 	}
-	return best, st
+	return best, evaluated
 }

@@ -84,10 +84,10 @@ func (w *Warm) Refresh(e *Engine, touched []graph.NodeID) {
 }
 
 // GreedyLazyWarm is GreedyLazy seeded from a Warm cache instead of the
-// init scan. The placement is bit-identical to GreedyLazy(e) provided w is
-// current for e (built from or refreshed against it); the delta-identity
-// invariant and the serve race battery hold that equivalence together. A
-// nil w falls back to the cold solver.
+// init scan. The placement is bit-identical to GreedyLazy(e), and so to
+// GreedyCombined(e), provided w is current for e (built from or refreshed
+// against it); the delta-identity invariant and the serve race battery
+// hold that equivalence together. A nil w falls back to the cold solver.
 func GreedyLazyWarm(e *Engine, w *Warm) (*Placement, error) {
 	if w == nil {
 		return GreedyLazy(e)

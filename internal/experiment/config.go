@@ -132,15 +132,10 @@ func DefaultKs() []int { return []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} }
 
 // solveGeneral dispatches a general-scenario algorithm by name.
 func solveGeneral(name string, e *core.Engine, rng *rand.Rand) (*core.Placement, error) {
+	if greedy, ok := core.Solver(name); ok {
+		return greedy(e)
+	}
 	switch name {
-	case AlgoAlgorithm1:
-		return core.Algorithm1(e)
-	case AlgoAlgorithm2:
-		return core.Algorithm2(e)
-	case AlgoCombined:
-		return core.GreedyCombined(e)
-	case AlgoLazy:
-		return core.GreedyLazy(e)
 	case AlgoMaxCardinality:
 		return baseline.MaxCardinality(e)
 	case AlgoMaxVehicles:

@@ -30,7 +30,7 @@ func init() {
 		Doc:   "EvaluatePrefixes(S)[i] equals Evaluate(S[:i]) bit-for-bit at every prefix",
 		Check: checkPrefixConsistency})
 	register(Invariant{Name: "parallel-identity",
-		Doc:   "engine arenas and greedy placements are bit-identical across worker counts (1 vs 2 vs 8)",
+		Doc:   "engine arenas are bit-identical across construction worker counts (1 vs 2 vs 8)",
 		Check: checkParallelIdentity})
 	register(Invariant{Name: "detour-triangle",
 		Doc:   "the detour identity d' + d'' - d''' matches independent shortest-path recomputation and is never negative",
@@ -51,7 +51,7 @@ func init() {
 		Doc:   "on small instances under the threshold utility, Algorithm 1 attains >= (1-1/e) of the exhaustive optimum",
 		Check: checkGreedyApprox})
 	register(Invariant{Name: "zero-gain-termination",
-		Doc:   "all four solvers stop exactly when gains hit zero: positive step gains, no residual gain on early stop, lazy == combined",
+		Doc:   "all four solvers stop exactly when gains hit zero: positive step gains, no residual gain on early stop, lazy and warm lazy bit-identical to combined",
 		Check: checkZeroGainTermination})
 	register(Invariant{Name: "sim-convergence",
 		Doc:   "at zero radio range the simulator's expectation equals Evaluate and its mean lands within 6 standard errors",
@@ -168,27 +168,6 @@ func checkParallelIdentity(inst *Instance) error {
 		if s, p := serial.Fingerprint(), par.Fingerprint(); s != p {
 			return fmt.Errorf("arena fingerprint diverges: workers=1 %x vs workers=%d %x", s, workers, p)
 		}
-		type solver struct {
-			name string
-			run  func(*core.Engine, int) (*core.Placement, error)
-		}
-		for _, sv := range []solver{
-			{"algorithm1", core.Algorithm1Workers},
-			{"algorithm2", core.Algorithm2Workers},
-			{"combined", core.GreedyCombinedWorkers},
-		} {
-			want, err := sv.run(serial, 1)
-			if err != nil {
-				return err
-			}
-			got, err := sv.run(par, workers)
-			if err != nil {
-				return err
-			}
-			if err := placementsIdentical(want, got); err != nil {
-				return fmt.Errorf("%s diverges at workers=%d: %w", sv.name, workers, err)
-			}
-		}
 	}
 	return nil
 }
@@ -203,7 +182,7 @@ func placementsIdentical(a, b *core.Placement) error {
 		if a.Nodes[i] != b.Nodes[i] {
 			return fmt.Errorf("step %d chose node %d vs %d", i, a.Nodes[i], b.Nodes[i])
 		}
-		//lint:ignore floatcmp parallel scans document bit-identity with the serial scan
+		//lint:ignore floatcmp the solvers compared here document bit-identical step gains
 		if a.StepGains[i] != b.StepGains[i] {
 			return fmt.Errorf("step %d gain %v vs %v", i, a.StepGains[i], b.StepGains[i])
 		}
@@ -546,11 +525,15 @@ func checkZeroGainTermination(inst *Instance) error {
 			lazy = pl
 		}
 	}
-	if len(combined.Nodes) != len(lazy.Nodes) {
-		return fmt.Errorf("combined placed %d RAPs, lazy %d", len(combined.Nodes), len(lazy.Nodes))
+	if err := placementsIdentical(combined, lazy); err != nil {
+		return fmt.Errorf("lazy diverges from combined: %w", err)
 	}
-	if !stats.ApproxEqual(combined.Attracted, lazy.Attracted, tol) {
-		return fmt.Errorf("combined objective %v != lazy objective %v", combined.Attracted, lazy.Attracted)
+	warm, err := core.GreedyLazyWarm(e, e.NewWarm())
+	if err != nil {
+		return err
+	}
+	if err := placementsIdentical(combined, warm); err != nil {
+		return fmt.Errorf("warm lazy diverges from combined: %w", err)
 	}
 	return nil
 }

@@ -32,15 +32,15 @@ func (r *recorder) Header() http.Header         { return r.header }
 func (r *recorder) Write(b []byte) (int, error) { return r.body.Write(b) }
 func (r *recorder) WriteHeader(status int)      { r.status = status }
 
-// serveAlgos pairs each wire algo name with its direct single-worker
-// oracle; checkServeIdentity rotates through them by instance seed.
+// serveAlgos pairs each wire algo name with its direct solver;
+// checkServeIdentity rotates through them by instance seed.
 var serveAlgos = []struct {
 	name   string
 	direct func(*core.Engine) (*core.Placement, error)
 }{
-	{"algorithm1", func(e *core.Engine) (*core.Placement, error) { return core.Algorithm1Workers(e, 1) }},
-	{"algorithm2", func(e *core.Engine) (*core.Placement, error) { return core.Algorithm2Workers(e, 1) }},
-	{"combined", func(e *core.Engine) (*core.Placement, error) { return core.GreedyCombinedWorkers(e, 1) }},
+	{"algorithm1", core.Algorithm1},
+	{"algorithm2", core.Algorithm2},
+	{"combined", core.GreedyCombined},
 	{"lazy", core.GreedyLazy},
 }
 

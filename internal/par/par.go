@@ -68,8 +68,8 @@ func Do(n, workers int, fn func(i int)) {
 
 // Chunks splits [0, n) into at most parts contiguous half-open ranges of
 // near-equal size and returns their boundaries as (lo, hi) pairs. It is
-// used to hand each scan worker a cache-friendly contiguous slice instead
-// of interleaved items. parts and n of zero or less yield no chunks.
+// used to hand each worker a cache-friendly contiguous slice instead of
+// interleaved items. parts and n of zero or less yield no chunks.
 func Chunks(n, parts int) [][2]int {
 	if n <= 0 || parts <= 0 {
 		return nil

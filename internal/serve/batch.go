@@ -101,7 +101,7 @@ func solveBatchItem(eng *core.Engine, warm *core.Warm, item BatchItem, idx int) 
 		res.Error = errorf(http.StatusUnprocessableEntity, CodeBadBudget, "k=%d, need k >= 1", item.K)
 		return res
 	}
-	solver, ok := solvers[res.Algo]
+	solver, ok := core.Solver(res.Algo)
 	if !ok {
 		res.Error = errorf(http.StatusUnprocessableEntity, CodeUnknownAlgo,
 			"algo %q (want algorithm1, algorithm2, combined, or lazy)", res.Algo)

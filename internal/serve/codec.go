@@ -273,7 +273,7 @@ func decodePlaceRequest(body []byte) (*PlaceRequest, *core.Problem, *APIError) {
 	if req.Algo == "" {
 		req.Algo = "algorithm2"
 	}
-	if _, ok := solvers[req.Algo]; !ok {
+	if _, ok := core.Solver(req.Algo); !ok {
 		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeUnknownAlgo,
 			"algo %q (want algorithm1, algorithm2, combined, or lazy)", req.Algo)
 	}
@@ -381,14 +381,6 @@ func decodeUpdateRequest(body []byte) (*UpdateRequest, []core.FlowUpdate, *APIEr
 		}
 	}
 	return &req, ops, nil
-}
-
-// solvers maps wire algo names onto the core solvers.
-var solvers = map[string]func(*core.Engine) (*core.Placement, error){
-	"algorithm1": core.Algorithm1,
-	"algorithm2": core.Algorithm2,
-	"combined":   core.GreedyCombined,
-	"lazy":       core.GreedyLazy,
 }
 
 // writeJSON writes v as the response body. Encoding failures at this point

@@ -182,7 +182,8 @@ func (s *Server) runPlace(ctx context.Context, req *PlaceRequest, p *core.Proble
 	if req.Algo == "lazy" && warm != nil {
 		pl, err = core.GreedyLazyWarm(budgeted, warm)
 	} else {
-		pl, err = solvers[req.Algo](budgeted)
+		solve, _ := core.Solver(req.Algo) // the name was validated at decode
+		pl, err = solve(budgeted)
 	}
 	if err != nil {
 		return nil, errorf(http.StatusInternalServerError, CodeInternal, "solve: %v", err)

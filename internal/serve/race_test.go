@@ -23,26 +23,15 @@ type raceProblem struct {
 	want   *core.Placement
 }
 
-// solveSingle runs the named solver at worker count 1: the oracle side of
-// the bit-identity assertions.
+// solveSingle runs the named solver directly: the oracle side of the
+// bit-identity assertions.
 func solveSingle(t *testing.T, algo string, e *core.Engine) *core.Placement {
 	t.Helper()
-	var (
-		pl  *core.Placement
-		err error
-	)
-	switch algo {
-	case "algorithm1":
-		pl, err = core.Algorithm1Workers(e, 1)
-	case "algorithm2":
-		pl, err = core.Algorithm2Workers(e, 1)
-	case "combined":
-		pl, err = core.GreedyCombinedWorkers(e, 1)
-	case "lazy":
-		pl, err = core.GreedyLazy(e)
-	default:
+	solve, ok := core.Solver(algo)
+	if !ok {
 		t.Fatalf("unknown algo %q", algo)
 	}
+	pl, err := solve(e)
 	if err != nil {
 		t.Fatal(err)
 	}

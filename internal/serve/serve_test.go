@@ -137,7 +137,7 @@ func TestPlaceMatchesDirectEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Algorithm2Workers(eng, 1)
+	want, err := core.Algorithm2(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
