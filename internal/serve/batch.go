@@ -88,47 +88,6 @@ func decodeBatchRequest(body []byte, maxItems int) (*BatchRequest, *core.Problem
 	return &req, p, nil
 }
 
-// solveBatchItem answers one item against the shared engine: the exact
-// WithBudget + solver-dispatch path a single /v1/place request takes, so
-// the batch-identity invariant (batch ≡ sequential places, bit-for-bit)
-// holds by construction.
-func solveBatchItem(eng *core.Engine, warm *core.Warm, item BatchItem, idx int) BatchItemResult {
-	res := BatchItemResult{Index: idx, K: item.K, Algo: item.Algo}
-	if res.Algo == "" {
-		res.Algo = "algorithm2"
-	}
-	if item.K < 1 {
-		res.Error = errorf(http.StatusUnprocessableEntity, CodeBadBudget, "k=%d, need k >= 1", item.K)
-		return res
-	}
-	solver, ok := core.Solver(res.Algo)
-	if !ok {
-		res.Error = errorf(http.StatusUnprocessableEntity, CodeUnknownAlgo,
-			"algo %q (want algorithm1, algorithm2, combined, or lazy)", res.Algo)
-		return res
-	}
-	budgeted, err := eng.WithBudget(item.K)
-	if err != nil {
-		res.Error = errorf(http.StatusUnprocessableEntity, CodeBadBudget, "%v", err)
-		return res
-	}
-	var pl *core.Placement
-	if res.Algo == "lazy" && warm != nil {
-		pl, err = core.GreedyLazyWarm(budgeted, warm)
-	} else {
-		pl, err = solver(budgeted)
-	}
-	if err != nil {
-		res.Error = errorf(http.StatusInternalServerError, CodeInternal, "solve: %v", err)
-		return res
-	}
-	res.Nodes = pl.Nodes
-	res.Attracted = pl.Attracted
-	res.StepGains = pl.StepGains
-	res.StepKinds = pl.StepKinds
-	return res
-}
-
 // handleBatch resolves the engine once and fans the items across the
 // worker pool. Each worker writes only its own index-disjoint slot, so the
 // result order is the item order whatever the goroutine schedule did — the
@@ -146,27 +105,27 @@ func (s *Server) handleBatch(r *http.Request, body []byte) (any, *APIError) {
 // runBatch is the transport-free core of /v1/batch; the async job lane
 // reuses it under a job-scoped context.
 func (s *Server) runBatch(ctx context.Context, req *BatchRequest, p *core.Problem) (any, *APIError) {
-	var (
-		apiErr          *APIError
-		eng             *core.Engine
-		warm            *core.Warm
-		digest, outcome string
-		release         func()
-	)
-	if req.Digest != "" {
-		eng, warm, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
-		outcome = CacheHit
-	} else {
-		eng, digest, outcome, release, apiErr = s.engineFor(ctx, p)
-	}
+	res, apiErr := s.resolve(ctx, req.Digest, p)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	defer release()
+	defer s.gate.Release()
 
 	items := make([]BatchItemResult, len(req.Items))
 	par.Do(len(req.Items), runtime.GOMAXPROCS(0), func(i int) {
-		items[i] = solveBatchItem(eng, warm, req.Items[i], i)
+		item := BatchItemResult{Index: i, K: req.Items[i].K}
+		var pl *core.Placement
+		item.Algo, item.Error = checkQuery(item.K, req.Items[i].Algo)
+		if item.Error == nil {
+			pl, item.Error = solve(res, item.K, item.Algo)
+		}
+		if pl != nil {
+			item.Nodes = pl.Nodes
+			item.Attracted = pl.Attracted
+			item.StepGains = pl.StepGains
+			item.StepKinds = pl.StepKinds
+		}
+		items[i] = item
 	})
 	failed := 0
 	for i := range items {
@@ -176,5 +135,5 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, p *core.Proble
 	}
 	s.batchItems.Add(int64(len(items)))
 	s.batchErrs.Add(int64(failed))
-	return &BatchResponse{Digest: digest, Cache: outcome, Items: items, Failed: failed}, nil
+	return &BatchResponse{Digest: res.digest, Cache: res.outcome, Items: items, Failed: failed}, nil
 }

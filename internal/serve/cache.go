@@ -21,31 +21,29 @@ const (
 )
 
 // engineCache is the heart of placement-as-a-service: a byte-budgeted LRU
-// of immutable engines keyed by core.ProblemDigest, with singleflight
-// coalescing. The entry map, the in-flight map, and the LRU share one
-// mutex, so between "no cached engine" and "a flight exists for this
-// digest" there is no window for a second builder: one build per digest,
-// exactly, no matter how many requests race.
+// of immutable engines keyed by base digest (core.ProblemDigest), with
+// singleflight coalescing. The lineage map, the in-flight map, and the LRU
+// share one mutex, so between "no cached engine" and "a flight exists for
+// this digest" there is no window for a second builder: one build per
+// digest, exactly, no matter how many requests race.
 //
 // Engines are immutable once published and entries only hold references,
 // so eviction can never corrupt an in-flight solve — a request that
 // obtained an engine keeps it alive through its solve regardless of what
 // the LRU does.
 //
-// On top of the digest-keyed store sits the lineage layer: POST /v1/update
-// evolves a cached engine through core.ApplyCopy, and the cache keeps
-// exactly one entry per lineage — the latest sequence — reachable both by
-// its full derived digest ("base@seq") and by its base digest. The
-// superseded entry is removed when its successor is published, so a
-// drifting problem occupies one engine's worth of budget, not one per
-// update.
+// The cache keeps one entry per lineage. POST /v1/update evolves a cached
+// engine through core.ApplyCopy and the successor replaces its
+// predecessor, so a drifting problem occupies one engine's worth of
+// budget, not one per update. A full-body request for a drifted lineage
+// is not a hit — its problem is sequence 0, not the lineage's head — and
+// the engine it builds replaces the head, restarting the lineage.
 type engineCache struct {
 	budget int64
 
 	mu       sync.Mutex
-	lru      *list.List // front = most recently used; values are *cacheEntry
-	entries  map[string]*list.Element
-	lineages map[string]*list.Element // base digest -> current entry of the lineage
+	lru      *list.List               // front = most recently used; values are *cacheEntry
+	lineages map[string]*list.Element // base digest -> the lineage's one entry
 	flights  map[string]*flight
 	bytes    int64
 
@@ -59,8 +57,8 @@ type engineCache struct {
 }
 
 // cacheEntry is one cached engine. All fields except mu are immutable
-// after the entry is published into the maps; updates never mutate a
-// published entry, they replace it (ApplyCopy, then re-key). mu serializes
+// after the entry is published into the map; updates never mutate a
+// published entry, they replace it (ApplyCopy, then publish). mu serializes
 // updaters of the entry's lineage: an updater holds it across
 // apply-and-publish so two concurrent updates on one lineage cannot both
 // derive from the same sequence.
@@ -86,7 +84,6 @@ func newEngineCache(budget int64, reg *obs.Registry) *engineCache {
 	return &engineCache{
 		budget:      budget,
 		lru:         list.New(),
-		entries:     map[string]*list.Element{},
 		lineages:    map[string]*list.Element{},
 		flights:     map[string]*flight{},
 		hits:        reg.Counter("serve.cache.hit"),
@@ -105,7 +102,8 @@ func newEngineCache(budget int64, reg *obs.Registry) *engineCache {
 	}
 }
 
-// Get returns the engine for digest, building it via build on a miss. The
+// Get returns the engine for the base digest of a full problem, building it
+// via build on a miss; only a lineage still at sequence 0 is a hit. The
 // returned outcome says how the request was answered; it is what the
 // response's cache field and the hit/miss/coalesced counters report, and
 // every call lands in exactly one of the three counters — hit + miss +
@@ -119,7 +117,7 @@ func newEngineCache(budget int64, reg *obs.Registry) *engineCache {
 // are never cached.
 func (c *engineCache) Get(ctx context.Context, digest string, build func() (*core.Engine, error)) (*core.Engine, string, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[digest]; ok {
+	if el, ok := c.lineages[digest]; ok && el.Value.(*cacheEntry).seq == 0 {
 		c.lru.MoveToFront(el)
 		eng := el.Value.(*cacheEntry).eng
 		c.mu.Unlock()
@@ -171,41 +169,44 @@ func (c *engineCache) Get(ctx context.Context, digest string, build func() (*cor
 	}
 }
 
-// Resolve answers a by-reference lookup: ref is either a base digest
-// (resolving to the lineage's current entry, whatever its sequence) or an
-// explicit "base@seq" (resolving only if the lineage currently sits at
-// exactly that sequence). There is nothing to build from — an unknown base
-// is a 404 and a sequence mismatch a 409, so a client racing an updater
-// observes the old engine, the new engine, or a stale error, never a
-// blend.
-func (c *engineCache) Resolve(ref string) (*core.Engine, *core.Warm, string, *APIError) {
+// Resolve answers a by-reference lookup (see lookupLocked). There is
+// nothing to build from, so a client racing an updater observes the old
+// engine, the new engine, or a stale error, never a blend.
+func (c *engineCache) Resolve(ref string) (*cacheEntry, *APIError) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, apiErr := c.lookupLocked(ref)
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	c.lru.MoveToFront(el)
+	c.hits.Inc()
+	return el.Value.(*cacheEntry), nil
+}
+
+// lookupLocked finds ref's lineage entry (c.mu held). ref is either a base
+// digest, resolving to the lineage's current entry whatever its sequence,
+// or an explicit "base@seq", resolving only if the lineage currently sits
+// at exactly that sequence. An unknown base is a 404 and a sequence
+// mismatch a 409.
+func (c *engineCache) lookupLocked(ref string) (*list.Element, *APIError) {
 	base, wantSeq, err := core.SplitDigest(ref)
 	if err != nil {
 		c.unresolved.Inc()
-		return nil, nil, "", errorf(http.StatusNotFound, CodeUnknownDigest, "digest ref %q: %v", ref, err)
+		return nil, errorf(http.StatusNotFound, CodeUnknownDigest, "digest ref %q: %v", ref, err)
 	}
-	pinned := strings.IndexByte(ref, '@') >= 0
-
-	c.mu.Lock()
 	el, ok := c.lineages[base]
 	if !ok {
-		c.mu.Unlock()
 		c.unresolved.Inc()
-		return nil, nil, "", errorf(http.StatusNotFound, CodeUnknownDigest,
+		return nil, errorf(http.StatusNotFound, CodeUnknownDigest,
 			"no cached engine for digest %q; send the full problem once to create it", ref)
 	}
-	ent := el.Value.(*cacheEntry)
-	if pinned && ent.seq != wantSeq {
-		c.mu.Unlock()
+	if seq := el.Value.(*cacheEntry).seq; strings.IndexByte(ref, '@') >= 0 && seq != wantSeq {
 		c.staleRefs.Inc()
-		return nil, nil, "", errorf(http.StatusConflict, CodeStaleDigest,
-			"digest %q is stale: lineage %s is at sequence %d", ref, base, ent.seq)
+		return nil, errorf(http.StatusConflict, CodeStaleDigest,
+			"digest %q is stale: lineage %s is at sequence %d", ref, base, seq)
 	}
-	c.lru.MoveToFront(el)
-	eng, warm, digest := ent.eng, ent.warm, ent.digest
-	c.mu.Unlock()
-	c.hits.Inc()
-	return eng, warm, digest, nil
+	return el, nil
 }
 
 // Update applies ops to the current engine of ref's lineage and publishes
@@ -223,34 +224,25 @@ func (c *engineCache) Resolve(ref string) (*core.Engine, *core.Warm, string, *AP
 // that race re-resolves (or fails its pin) rather than deriving two
 // engines from one sequence.
 func (c *engineCache) Update(ref string, ops []core.FlowUpdate) (*cacheEntry, []graph.NodeID, *APIError) {
-	base, wantSeq, err := core.SplitDigest(ref)
-	if err != nil {
-		c.unresolved.Inc()
-		return nil, nil, errorf(http.StatusNotFound, CodeUnknownDigest, "digest ref %q: %v", ref, err)
-	}
-	pinned := strings.IndexByte(ref, '@') >= 0
-
 	var ent *cacheEntry
 	for {
 		c.mu.Lock()
-		el, ok := c.lineages[base]
-		if !ok {
-			c.mu.Unlock()
-			c.unresolved.Inc()
-			return nil, nil, errorf(http.StatusNotFound, CodeUnknownDigest,
-				"no cached engine for digest %q; send the full problem once to create it", ref)
+		el, apiErr := c.lookupLocked(ref)
+		c.mu.Unlock()
+		if apiErr != nil {
+			return nil, nil, apiErr
 		}
 		ent = el.Value.(*cacheEntry)
-		c.mu.Unlock()
 
 		ent.mu.Lock()
 		// Recheck under the entry lock: another updater may have replaced
-		// this entry while we waited. An entry evicted meanwhile is fine —
-		// the engine reference is still valid and publishing re-creates the
-		// lineage.
+		// this entry while we waited, and then the lookup must run again
+		// (failing a pin the replacement made stale). An entry evicted
+		// meanwhile is fine — the engine reference is still valid and
+		// publishing re-creates the lineage.
 		c.mu.Lock()
-		cur, ok := c.lineages[base]
-		current := !ok || cur.Value.(*cacheEntry) == ent
+		cur, ok := c.lineages[ent.base]
+		current := !ok || cur == el
 		c.mu.Unlock()
 		if current {
 			break
@@ -258,12 +250,6 @@ func (c *engineCache) Update(ref string, ops []core.FlowUpdate) (*cacheEntry, []
 		ent.mu.Unlock()
 	}
 	defer ent.mu.Unlock()
-
-	if pinned && ent.seq != wantSeq {
-		c.staleRefs.Inc()
-		return nil, nil, errorf(http.StatusConflict, CodeStaleDigest,
-			"digest %q is stale: lineage %s is at sequence %d", ref, base, ent.seq)
-	}
 
 	start := time.Now()
 	eng, touched, err := ent.eng.ApplyCopy(ops)
@@ -280,61 +266,46 @@ func (c *engineCache) Update(ref string, ops []core.FlowUpdate) (*cacheEntry, []
 	c.updateUS.Observe(float64(time.Since(start).Microseconds()))
 
 	next := &cacheEntry{
-		digest: core.DeriveDigest(base, ent.seq+1),
-		base:   base,
+		digest: core.DeriveDigest(ent.base, ent.seq+1),
+		base:   ent.base,
 		seq:    ent.seq + 1,
 		eng:    eng,
 		warm:   warm,
 		bytes:  eng.ArenaBytes(),
 	}
 	c.mu.Lock()
-	// Drop the superseded entry (if eviction has not already) and any
-	// defensive leftover under the new digest, then publish.
-	if el, ok := c.entries[ent.digest]; ok && el.Value.(*cacheEntry) == ent {
-		c.removeLocked(el, false)
-	}
-	if el, ok := c.entries[next.digest]; ok {
-		c.removeLocked(el, false)
-	}
 	c.insertLocked(next)
 	c.mu.Unlock()
 	c.updates.Inc()
 	return next, touched, nil
 }
 
-// insertLocked adds a freshly built or updated engine and evicts from the
-// LRU tail until the byte budget holds again. The newest entry is never
-// evicted — a cache whose budget is below one engine still serves repeat
-// queries for the latest problem — so the loop stops at length one.
+// insertLocked publishes a freshly built or updated engine as its
+// lineage's one entry, silently replacing the lineage's previous entry,
+// and evicts from the LRU tail until the byte budget holds again. The
+// newest entry is never evicted — a cache whose budget is below one engine
+// still serves repeat queries for the latest problem — so the loop stops
+// at length one.
 func (c *engineCache) insertLocked(ent *cacheEntry) {
-	el := c.lru.PushFront(ent)
-	c.entries[ent.digest] = el
-	c.lineages[ent.base] = el
+	if el, ok := c.lineages[ent.base]; ok {
+		c.removeLocked(el)
+	}
+	c.lineages[ent.base] = c.lru.PushFront(ent)
 	c.bytes += ent.bytes
 	for c.bytes > c.budget && c.lru.Len() > 1 {
-		c.removeLocked(c.lru.Back(), true)
+		c.removeLocked(c.lru.Back())
+		c.evicted.Inc()
 	}
 	c.bytesG.Set(float64(c.bytes))
 	c.entriesG.Set(float64(c.lru.Len()))
 }
 
-// removeLocked detaches an entry from the LRU, the digest map, and — when
-// it is the lineage's current entry — the lineage map. evict says whether
-// this removal counts against serve.cache.evicted (budget pressure) or is
-// a silent replacement by a successor entry.
-func (c *engineCache) removeLocked(el *list.Element, evict bool) {
+// removeLocked detaches an entry from the LRU and the lineage map.
+func (c *engineCache) removeLocked(el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	c.lru.Remove(el)
-	delete(c.entries, ent.digest)
-	if cur, ok := c.lineages[ent.base]; ok && cur == el {
-		delete(c.lineages, ent.base)
-	}
+	delete(c.lineages, ent.base)
 	c.bytes -= ent.bytes
-	if evict {
-		c.evicted.Inc()
-	}
-	c.bytesG.Set(float64(c.bytes))
-	c.entriesG.Set(float64(c.lru.Len()))
 }
 
 // Stats returns the cache's current occupancy (for /healthz).

@@ -395,3 +395,42 @@ func TestCacheCounterConservation(t *testing.T) {
 			builds, buildErrors, misses)
 	}
 }
+
+// TestCacheFullBodyRebuildReplacesDriftedHead: a full-body Get for a
+// lineage that updates have moved past sequence 0 rebuilds sequence 0,
+// and that engine replaces the drifted head instead of sitting beside it
+// — one entry per lineage, one engine's worth of bytes.
+func TestCacheFullBodyRebuildReplacesDriftedHead(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := newEngineCache(1<<30, reg)
+	eng := testEngine(t)
+	base, err := core.ProblemDigest(eng.Problem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() (*core.Engine, error) { return eng, nil }
+	ctx := context.Background()
+
+	if _, o, err := c.Get(ctx, base, build); err != nil || o != CacheMiss {
+		t.Fatalf("first Get = %q err %v, want miss", o, err)
+	}
+	if _, _, apiErr := c.Update(base, []core.FlowUpdate{{Op: core.OpSetVolume, Flow: 0, Volume: 70}}); apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	if _, o, err := c.Get(ctx, base, build); err != nil || o != CacheMiss {
+		t.Fatalf("Get after update = %q err %v, want miss (the lineage is past sequence 0)", o, err)
+	}
+	if entries, bytes := c.Stats(); entries != 1 || bytes != eng.ArenaBytes() {
+		t.Fatalf("Stats = (%d, %d), want (1, %d): the drifted head was orphaned", entries, bytes, eng.ArenaBytes())
+	}
+	if got := counter(reg, "serve.cache.evicted"); got != 0 {
+		t.Errorf("evicted = %d, want 0: a replaced head is not an eviction", got)
+	}
+	ent, apiErr := c.Resolve(base)
+	if apiErr != nil || ent.seq != 0 || ent.eng != eng {
+		t.Fatalf("Resolve(base) = %+v, %v; want the rebuilt sequence 0", ent, apiErr)
+	}
+	if _, apiErr := c.Resolve(base + "@1"); apiErr == nil || apiErr.Code != CodeStaleDigest {
+		t.Fatalf("Resolve(base@1) = %v, want stale_digest", apiErr)
+	}
+}

@@ -267,15 +267,9 @@ func decodePlaceRequest(body []byte) (*PlaceRequest, *core.Problem, *APIError) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
 	}
-	if req.K < 1 {
-		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeBadBudget, "k=%d, need k >= 1", req.K)
-	}
-	if req.Algo == "" {
-		req.Algo = "algorithm2"
-	}
-	if _, ok := core.Solver(req.Algo); !ok {
-		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeUnknownAlgo,
-			"algo %q (want algorithm1, algorithm2, combined, or lazy)", req.Algo)
+	var apiErr *APIError
+	if req.Algo, apiErr = checkQuery(req.K, req.Algo); apiErr != nil {
+		return nil, nil, apiErr
 	}
 	if req.Digest != "" {
 		return &req, nil, nil
@@ -285,6 +279,23 @@ func decodePlaceRequest(body []byte) (*PlaceRequest, *core.Problem, *APIError) {
 		return nil, nil, apiErr
 	}
 	return &req, p, nil
+}
+
+// checkQuery validates one placement query — a /v1/place body or a
+// /v1/batch item — and returns its solver name with the algorithm2
+// default applied (also on failure, for the batch item's echo).
+func checkQuery(k int, algo string) (string, *APIError) {
+	if algo == "" {
+		algo = "algorithm2"
+	}
+	if k < 1 {
+		return algo, errorf(http.StatusUnprocessableEntity, CodeBadBudget, "k=%d, need k >= 1", k)
+	}
+	if _, ok := core.Solver(algo); !ok {
+		return algo, errorf(http.StatusUnprocessableEntity, CodeUnknownAlgo,
+			"algo %q (want algorithm1, algorithm2, combined, or lazy)", algo)
+	}
+	return algo, nil
 }
 
 // validNodes checks that every node exists in g, reporting failures under

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"roadside/internal/core"
 	"roadside/internal/graph"
 	"roadside/internal/testutil"
 	"roadside/internal/utility"
@@ -15,7 +16,8 @@ import (
 // FuzzServeRequest feeds arbitrary bytes through every endpoint decoder and
 // the full /v1/place handler: decoders must never panic, must return a
 // well-formed APIError (4xx/5xx with a stable code) on rejection, and must
-// only accept bodies that decode to a validated problem. The checked-in
+// only accept bodies that decode to a validated problem (or, for a digest
+// reference, to none). The checked-in
 // corpus under testdata/fuzz/FuzzServeRequest seeds the interesting shapes;
 // verify.sh runs this target in its fuzz smoke.
 func FuzzServeRequest(f *testing.F) {
@@ -52,20 +54,28 @@ func FuzzServeRequest(f *testing.F) {
 				t.Errorf("%s: empty error code", what)
 			}
 		}
+		// A by-reference body decodes to no problem by contract; any other
+		// accepted body must decode to a validated one.
+		checkProblem := func(what, digest string, p *core.Problem) {
+			t.Helper()
+			if (p == nil) != (digest != "") || (p != nil && p.Validate() != nil) {
+				t.Errorf("%s: accepted body (digest %q) decoded to an invalid problem", what, digest)
+			}
+		}
 		if req, p, apiErr := decodePlaceRequest(body); apiErr != nil {
 			checkErr("place", apiErr)
-		} else if req == nil || p == nil || p.Validate() != nil {
-			t.Error("place: accepted body decoded to an invalid problem")
+		} else {
+			checkProblem("place", req.Digest, p)
 		}
 		if req, p, apiErr := decodeEvaluateRequest(body); apiErr != nil {
 			checkErr("evaluate", apiErr)
-		} else if req == nil || p == nil || p.Validate() != nil {
-			t.Error("evaluate: accepted body decoded to an invalid problem")
+		} else {
+			checkProblem("evaluate", req.Digest, p)
 		}
 		if req, p, apiErr := decodeDetourRequest(body); apiErr != nil {
 			checkErr("detour", apiErr)
-		} else if req == nil || p == nil || p.Validate() != nil {
-			t.Error("detour: accepted body decoded to an invalid problem")
+		} else {
+			checkProblem("detour", req.Digest, p)
 		}
 
 		// End-to-end through the handler: whatever the body, the response

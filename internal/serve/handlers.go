@@ -51,16 +51,10 @@ func (s *Server) solveEndpoint(name string, h solveHandler) http.HandlerFunc {
 			s.inflight.Done()
 		}()
 
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-		if err != nil {
+		body, apiErr := readBody(w, r, s.cfg.MaxBody)
+		if apiErr != nil {
 			errorsC.Inc()
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				writeError(w, errorf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-					"request body exceeds %d bytes", s.cfg.MaxBody))
-			} else {
-				writeError(w, errorf(http.StatusBadRequest, CodeBadJSON, "read body: %v", err))
-			}
+			writeError(w, apiErr)
 			return
 		}
 		resp, apiErr := h(r, body)
@@ -73,6 +67,21 @@ func (s *Server) solveEndpoint(name string, h solveHandler) http.HandlerFunc {
 	}
 }
 
+// readBody reads a request body under limit. Only a tripped byte limit is
+// 413; any other read failure (disconnect mid-upload, short body) is 400.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *APIError) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, errorf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+				"request body exceeds %d bytes", limit)
+		}
+		return nil, errorf(http.StatusBadRequest, CodeBadJSON, "read body: %v", err)
+	}
+	return body, nil
+}
+
 // ctxError maps a context failure onto the wire. Both expiry and client
 // disconnect surface as deadline_exceeded: from the solver's point of view
 // the request's time ran out either way.
@@ -80,62 +89,95 @@ func ctxError(err error) *APIError {
 	return errorf(http.StatusGatewayTimeout, CodeDeadlineExceeded, "%v", err)
 }
 
-// engineFor resolves the request problem to a cached (or freshly built)
-// engine under the concurrency gate. The caller must hold nothing; the
-// gate slot covers build-or-wait AND the solve that follows, which is why
-// release is returned instead of deferred here. On error release has
-// already been called and the returned func is nil.
-func (s *Server) engineFor(ctx context.Context, p *core.Problem) (eng *core.Engine, digest, outcome string, release func(), apiErr *APIError) {
-	// Decode can outlive an aggressive timeout_ms; check once here so a
-	// pre-expired deadline fails deterministically before any engine work.
-	// The explicit deadline comparison matters: a just-created context whose
-	// timer has not fired yet still reports Err() == nil even when its
-	// deadline is already in the past.
+// admit takes a concurrency-gate slot for the request. Decode and digest
+// can outlive an aggressive timeout_ms, so the deadline is checked first
+// and a pre-expired request fails deterministically before any engine
+// work. The explicit deadline comparison matters: a just-created context
+// whose timer has not fired yet still reports Err() == nil even when its
+// deadline is already in the past. On success the caller must release
+// the slot.
+func (s *Server) admit(ctx context.Context) *APIError {
 	if err := ctx.Err(); err != nil {
-		return nil, "", "", nil, ctxError(err)
+		return ctxError(err)
 	}
 	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return nil, "", "", nil, ctxError(context.DeadlineExceeded)
-	}
-	digest, err := core.ProblemDigest(p)
-	if err != nil {
-		return nil, "", "", nil, errorf(http.StatusInternalServerError, CodeInternal, "digest: %v", err)
+		return ctxError(context.DeadlineExceeded)
 	}
 	if err := s.gate.Acquire(ctx); err != nil {
-		return nil, "", "", nil, ctxError(err)
+		return ctxError(err)
 	}
-	eng, outcome, err = s.cache.Get(ctx, digest, func() (*core.Engine, error) {
+	return nil
+}
+
+// resolved is a request's engine, with the lineage's Warm cache when one
+// exists and how the cache answered.
+type resolved struct {
+	eng     *core.Engine
+	warm    *core.Warm
+	digest  string
+	outcome string
+}
+
+// resolve admits the request and returns its engine: by digest reference
+// when ref is set (the server never rebuilds from a reference), otherwise
+// the cached or freshly built engine for the full problem p. On success
+// the caller holds the gate slot, which covers build-or-wait AND the solve
+// that follows, and must release it.
+func (s *Server) resolve(ctx context.Context, ref string, p *core.Problem) (*resolved, *APIError) {
+	var digest string
+	if ref == "" {
+		var err error
+		if digest, err = core.ProblemDigest(p); err != nil {
+			return nil, errorf(http.StatusInternalServerError, CodeInternal, "digest: %v", err)
+		}
+	}
+	if apiErr := s.admit(ctx); apiErr != nil {
+		return nil, apiErr
+	}
+	if ref != "" {
+		ent, apiErr := s.cache.Resolve(ref)
+		if apiErr != nil {
+			s.gate.Release()
+			return nil, apiErr
+		}
+		return &resolved{eng: ent.eng, warm: ent.warm, digest: ent.digest, outcome: CacheHit}, nil
+	}
+	eng, outcome, err := s.cache.Get(ctx, digest, func() (*core.Engine, error) {
 		return core.NewEngine(p)
 	})
 	if err != nil {
 		s.gate.Release()
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, "", "", nil, ctxError(err)
+			return nil, ctxError(err)
 		}
-		return nil, "", "", nil, errorf(http.StatusUnprocessableEntity, CodeBadProblem, "build engine: %v", err)
+		return nil, errorf(http.StatusUnprocessableEntity, CodeBadProblem, "build engine: %v", err)
 	}
-	return eng, digest, outcome, s.gate.Release, nil
+	return &resolved{eng: eng, digest: digest, outcome: outcome}, nil
 }
 
-// engineByRef resolves a digest reference to a cached engine (and its
-// lineage's Warm cache, when one exists) under the concurrency gate. Like
-// engineFor, release covers the solve that follows and is nil on error.
-func (s *Server) engineByRef(ctx context.Context, ref string) (eng *core.Engine, warm *core.Warm, digest string, release func(), apiErr *APIError) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, "", nil, ctxError(err)
+// solve answers one (k, algo) query against a resolved engine; algo has
+// passed checkQuery. /v1/place and every /v1/batch item take this one
+// path, so batch ≡ sequential places holds by construction. A lineage that
+// has been updated carries a Warm cache current for its engine; the lazy
+// solver seeded from it returns the bit-identical placement while skipping
+// the full init scan (budgets share arenas, and the cached bounds do not
+// depend on K).
+func solve(r *resolved, k int, algo string) (*core.Placement, *APIError) {
+	budgeted, err := r.eng.WithBudget(k)
+	if err != nil {
+		return nil, errorf(http.StatusUnprocessableEntity, CodeBadBudget, "%v", err)
 	}
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return nil, nil, "", nil, ctxError(context.DeadlineExceeded)
+	var pl *core.Placement
+	if algo == "lazy" && r.warm != nil {
+		pl, err = core.GreedyLazyWarm(budgeted, r.warm)
+	} else {
+		solver, _ := core.Solver(algo)
+		pl, err = solver(budgeted)
 	}
-	if err := s.gate.Acquire(ctx); err != nil {
-		return nil, nil, "", nil, ctxError(err)
+	if err != nil {
+		return nil, errorf(http.StatusInternalServerError, CodeInternal, "solve: %v", err)
 	}
-	eng, warm, digest, apiErr = s.cache.Resolve(ref)
-	if apiErr != nil {
-		s.gate.Release()
-		return nil, nil, "", nil, apiErr
-	}
-	return eng, warm, digest, s.gate.Release, nil
+	return pl, nil
 }
 
 func (s *Server) handlePlace(r *http.Request, body []byte) (any, *APIError) {
@@ -148,49 +190,21 @@ func (s *Server) handlePlace(r *http.Request, body []byte) (any, *APIError) {
 	return s.runPlace(ctx, req, p)
 }
 
-// runPlace is the transport-free core of /v1/place: resolve the engine
-// (by digest reference or by building from the problem), budget it, and
-// dispatch the solver. The async job lane reuses it under a job-scoped
-// context instead of a request context.
+// runPlace is the transport-free core of /v1/place. The async job lane
+// reuses it under a job-scoped context instead of a request context.
 func (s *Server) runPlace(ctx context.Context, req *PlaceRequest, p *core.Problem) (any, *APIError) {
-	var (
-		eng             *core.Engine
-		warm            *core.Warm
-		digest, outcome string
-		release         func()
-		apiErr          *APIError
-	)
-	if req.Digest != "" {
-		eng, warm, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
-		outcome = CacheHit
-	} else {
-		eng, digest, outcome, release, apiErr = s.engineFor(ctx, p)
-	}
+	res, apiErr := s.resolve(ctx, req.Digest, p)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	defer release()
-	budgeted, err := eng.WithBudget(req.K)
-	if err != nil {
-		return nil, errorf(http.StatusUnprocessableEntity, CodeBadBudget, "%v", err)
-	}
-	// A lineage that has been updated carries a Warm cache current for its
-	// engine; the lazy solver seeded from it returns the bit-identical
-	// placement while skipping the full init scan (budgets share arenas, and
-	// the cached bounds do not depend on K).
-	var pl *core.Placement
-	if req.Algo == "lazy" && warm != nil {
-		pl, err = core.GreedyLazyWarm(budgeted, warm)
-	} else {
-		solve, _ := core.Solver(req.Algo) // the name was validated at decode
-		pl, err = solve(budgeted)
-	}
-	if err != nil {
-		return nil, errorf(http.StatusInternalServerError, CodeInternal, "solve: %v", err)
+	defer s.gate.Release()
+	pl, apiErr := solve(res, req.K, req.Algo)
+	if apiErr != nil {
+		return nil, apiErr
 	}
 	return &PlaceResponse{
-		Digest:    digest,
-		Cache:     outcome,
+		Digest:    res.digest,
+		Cache:     res.outcome,
 		Algo:      req.Algo,
 		K:         req.K,
 		Nodes:     pl.Nodes,
@@ -207,28 +221,18 @@ func (s *Server) handleEvaluate(r *http.Request, body []byte) (any, *APIError) {
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	var (
-		eng             *core.Engine
-		digest, outcome string
-		release         func()
-	)
-	if req.Digest != "" {
-		eng, _, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
-		outcome = CacheHit
-		if apiErr == nil {
-			p = eng.Problem()
-			if vErr := validNodes(p.Graph, req.Placement, CodeBadPlacement, "placement"); vErr != nil {
-				release()
-				return nil, vErr
-			}
-		}
-	} else {
-		eng, digest, outcome, release, apiErr = s.engineFor(ctx, p)
-	}
+	res, apiErr := s.resolve(ctx, req.Digest, p)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	defer release()
+	defer s.gate.Release()
+	// Full-problem placements were checked at decode; by-reference ones
+	// meet their graph only here.
+	eng := res.eng
+	p = eng.Problem()
+	if apiErr := validNodes(p.Graph, req.Placement, CodeBadPlacement, "placement"); apiErr != nil {
+		return nil, apiErr
+	}
 	flows := make([]FlowAttraction, p.Flows.Len())
 	for f := range flows {
 		fl := p.Flows.At(f)
@@ -242,8 +246,8 @@ func (s *Server) handleEvaluate(r *http.Request, body []byte) (any, *APIError) {
 		flows[f] = fa
 	}
 	return &EvaluateResponse{
-		Digest:    digest,
-		Cache:     outcome,
+		Digest:    res.digest,
+		Cache:     res.outcome,
 		Objective: eng.Evaluate(req.Placement),
 		Flows:     flows,
 	}, nil
@@ -256,27 +260,15 @@ func (s *Server) handleDetour(r *http.Request, body []byte) (any, *APIError) {
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	var (
-		eng             *core.Engine
-		digest, outcome string
-		release         func()
-	)
-	if req.Digest != "" {
-		eng, _, digest, release, apiErr = s.engineByRef(ctx, req.Digest)
-		outcome = CacheHit
-		if apiErr == nil {
-			if vErr := validNodes(eng.Problem().Graph, req.Nodes, CodeBadNodes, "queried"); vErr != nil {
-				release()
-				return nil, vErr
-			}
-		}
-	} else {
-		eng, digest, outcome, release, apiErr = s.engineFor(ctx, p)
-	}
+	res, apiErr := s.resolve(ctx, req.Digest, p)
 	if apiErr != nil {
 		return nil, apiErr
 	}
-	defer release()
+	defer s.gate.Release()
+	eng := res.eng
+	if apiErr := validNodes(eng.Problem().Graph, req.Nodes, CodeBadNodes, "queried"); apiErr != nil {
+		return nil, apiErr
+	}
 	nodes := make([]NodeDetours, len(req.Nodes))
 	for i, v := range req.Nodes {
 		visits := eng.VisitsAt(v)
@@ -291,14 +283,15 @@ func (s *Server) handleDetour(r *http.Request, body []byte) (any, *APIError) {
 		}
 		nodes[i] = nd
 	}
-	return &DetourResponse{Digest: digest, Cache: outcome, Nodes: nodes}, nil
+	return &DetourResponse{Digest: res.digest, Cache: res.outcome, Nodes: nodes}, nil
 }
 
 // handleUpdate evolves a cached engine: the batch applies atomically via
 // core.ApplyCopy (in-flight solves on the superseded engine are untouched)
-// and the lineage advances one sequence, re-keyed in the cache under its
-// derived digest. The gate slot covers the apply, which does at most one
-// pruned shortest-path group per added flow — far below a rebuild.
+// and the lineage advances one sequence, the successor replacing its cache
+// entry under the derived digest. The gate slot covers the apply, which
+// does at most one pruned shortest-path group per added flow — far below
+// a rebuild.
 func (s *Server) handleUpdate(r *http.Request, body []byte) (any, *APIError) {
 	req, ops, apiErr := decodeUpdateRequest(body)
 	if apiErr != nil {
@@ -306,14 +299,8 @@ func (s *Server) handleUpdate(r *http.Request, body []byte) (any, *APIError) {
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	if err := ctx.Err(); err != nil {
-		return nil, ctxError(err)
-	}
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return nil, ctxError(context.DeadlineExceeded)
-	}
-	if err := s.gate.Acquire(ctx); err != nil {
-		return nil, ctxError(err)
+	if apiErr := s.admit(ctx); apiErr != nil {
+		return nil, apiErr
 	}
 	defer s.gate.Release()
 	ent, touched, apiErr := s.cache.Update(req.Digest, ops)

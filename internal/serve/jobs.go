@@ -209,25 +209,18 @@ func (q *jobs) submit(s *Server, body []byte, enqueued time.Time) (*job, *APIErr
 		return nil, apiErr
 	}
 
-	timeout := s.cfg.Timeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS * float64(time.Millisecond)); d < timeout {
-			timeout = d
-		}
-	}
 	j := &job{
-		id:       q.prefix + "j" + strconv.FormatInt(q.seq.Add(1), 10),
-		kind:     req.Kind,
+		id:   q.prefix + "j" + strconv.FormatInt(q.seq.Add(1), 10),
+		kind: req.Kind,
+		run: func(ctx context.Context) (any, *APIError) {
+			ctx, cancel := s.requestContext(ctx, req.TimeoutMS)
+			defer cancel()
+			return run(ctx)
+		},
 		state:    JobQueued,
 		enqueued: enqueued,
 		done:     make(chan struct{}),
 	}
-	wrapped := func(ctx context.Context) (any, *APIError) {
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		return run(ctx)
-	}
-	j.run = wrapped
 
 	q.mu.Lock()
 	q.byID[j.id] = j

@@ -35,9 +35,6 @@ type Backend struct {
 // RouterConfig parameterizes a Router.
 type RouterConfig struct {
 	Backends []Backend
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (<= 0 means DefaultRingReplicas).
-	Replicas int
 	// MaxBody caps request body size (<= 0 means DefaultMaxBody). The
 	// router reads bodies to extract routing keys, so it enforces the same
 	// limit the workers do.
@@ -103,9 +100,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("serve: router needs at least one backend")
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = DefaultRingReplicas
-	}
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = DefaultMaxBody
 	}
@@ -145,7 +139,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		r.backends = append(r.backends, rb)
 	}
 	for bi := range r.backends {
-		for v := 0; v < cfg.Replicas; v++ {
+		for v := 0; v < DefaultRingReplicas; v++ {
 			r.ring = append(r.ring, ringPoint{
 				hash:    fnvHash(fmt.Sprintf("%s#%d", r.backends[bi].Name, v)),
 				backend: bi,
@@ -271,19 +265,10 @@ func (r *Router) handleKeyed(w http.ResponseWriter, req *http.Request) {
 			"%s requires POST, got %s", req.URL.Path, req.Method))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.maxBody))
-	if err != nil {
+	body, apiErr := readBody(w, req, r.maxBody)
+	if apiErr != nil {
 		r.routeErrs.Inc()
-		// Same error shape as the worker-side solveEndpoint: only a tripped
-		// byte limit is 413, any other read failure (disconnect mid-upload,
-		// short body) is a 400.
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, errorf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"request body exceeds %d bytes", r.maxBody))
-		} else {
-			writeError(w, errorf(http.StatusBadRequest, CodeBadJSON, "read body: %v", err))
-		}
+		writeError(w, apiErr)
 		return
 	}
 	r.proxy(w, req, r.pick(r.routingKey(body)), body)

@@ -12,6 +12,10 @@
 //	POST /v1/evaluate  problem + placement   -> objective + per-flow attraction
 //	POST /v1/detour    problem + node set    -> per-node flow visits and detours
 //	POST /v1/update    digest + flow updates -> new lineage digest ("base@seq")
+//	POST /v1/batch     problem + items       -> one placement per (k, algo) item
+//	POST /v1/jobs      kind + request        -> async job status (queued)
+//	GET  /v1/jobs/{id}                       -> job status, with the result once done
+//	DELETE /v1/jobs/{id}                     -> cancel; the job's status
 //	GET  /healthz                            -> liveness + cache occupancy
 //	GET  /metrics                            -> text export of the server's obs registry
 //
@@ -20,8 +24,8 @@
 // against a digest it got from an earlier response. The cached engine
 // absorbs them in place (core.ApplyCopy, orders of magnitude below a
 // rebuild) and the lineage advances to a derived digest base@seq; place,
-// evaluate, and detour accept either the base (latest revision) or a
-// pinned base@seq by reference, with no problem body at all.
+// evaluate, detour, and batch accept either the base (latest revision) or
+// a pinned base@seq by reference, with no problem body at all.
 //
 // Contracts the tests pin:
 //

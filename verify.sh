@@ -4,6 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> gofmt -l (every tracked .go file)"
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting (run gofmt -w):"
+    echo "$unformatted"
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
