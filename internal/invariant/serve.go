@@ -13,7 +13,7 @@ import (
 
 func init() {
 	register(Invariant{Name: "serve-identity",
-		Doc:   "serving a placement through an in-process HTTP server (miss then cache hit) equals calling the engine directly, bit-for-bit",
+		Doc:   "serving a placement through an in-process HTTP server (miss, memo hit, then a decode-path hit on re-encoded bytes) equals calling the engine directly, bit-for-bit",
 		Check: checkServeIdentity})
 }
 
@@ -45,10 +45,12 @@ var serveAlgos = []struct {
 }
 
 // checkServeIdentity round-trips the instance through an in-process
-// placement server twice — the first request builds the engine (cache
-// miss), the second is served from the LRU (cache hit) — and requires both
-// responses to match a direct single-threaded solve bit-for-bit. This
-// pins the whole service stack: wire codec, digest, cache, budget
+// placement server three times — the first request builds the engine
+// (cache miss), the second sends the same bytes and skips decode through
+// the memo (cache hit), the third re-encodes the problem's bytes and
+// decodes them to the cached engine (cache hit) — and requires every
+// response to match a direct single-threaded solve bit-for-bit. This
+// pins the whole service stack: wire codec, memo, digest, cache, budget
 // override, and solver dispatch add nothing and lose nothing.
 func checkServeIdentity(inst *Instance) error {
 	p := inst.Problem
@@ -71,38 +73,53 @@ func checkServeIdentity(inst *Instance) error {
 	if err != nil {
 		return fmt.Errorf("serve-identity: encode request: %w", err)
 	}
+	reencoded, err := json.MarshalIndent(serve.PlaceRequest{ProblemSpec: spec, K: p.K, Algo: algo.name}, "", " ")
+	if err != nil {
+		return fmt.Errorf("serve-identity: re-encode request: %w", err)
+	}
 
 	s := serve.New(serve.Config{})
-	for _, wantCache := range []string{serve.CacheMiss, serve.CacheHit} {
-		req, err := http.NewRequest(http.MethodPost, "/v1/place", bytes.NewReader(body))
+	memoHits := s.Metrics().Counter("serve.cache.memo_hits")
+	for _, pass := range []struct {
+		name         string
+		body         []byte
+		wantCache    string
+		wantMemoHits int64
+	}{
+		{"miss", body, serve.CacheMiss, 0},
+		{"memo hit", body, serve.CacheHit, 1},
+		{"decode-path hit", reencoded, serve.CacheHit, 1},
+	} {
+		req, err := http.NewRequest(http.MethodPost, "/v1/place", bytes.NewReader(pass.body))
 		if err != nil {
 			return fmt.Errorf("serve-identity: %w", err)
 		}
 		rec := newRecorder()
 		s.Handler().ServeHTTP(rec, req)
 		if rec.status != http.StatusOK {
-			return fmt.Errorf("serve-identity: %s pass: status %d: %s", wantCache, rec.status, rec.body.String())
+			return fmt.Errorf("serve-identity: %s pass: status %d: %s", pass.name, rec.status, rec.body.String())
 		}
 		var got serve.PlaceResponse
 		if err := json.Unmarshal(rec.body.Bytes(), &got); err != nil {
 			return fmt.Errorf("serve-identity: decode response: %w", err)
 		}
-		if got.Cache != wantCache {
-			return fmt.Errorf("serve-identity: cache outcome %q, want %q", got.Cache, wantCache)
+		if got.Cache != pass.wantCache || memoHits.Value() != pass.wantMemoHits {
+			return fmt.Errorf("serve-identity: %s pass: cache outcome %q after %d memo hits, want %q after %d",
+				pass.name, got.Cache, memoHits.Value(), pass.wantCache, pass.wantMemoHits)
 		}
-		if len(got.Nodes) != len(want.Nodes) {
+		if len(got.Nodes) != len(want.Nodes) || len(got.StepGains) != len(want.StepGains) {
 			return fmt.Errorf("serve-identity: %s (%s) served %v, direct %v",
-				algo.name, wantCache, got.Nodes, want.Nodes)
+				algo.name, pass.name, got.Nodes, want.Nodes)
 		}
 		for i := range got.Nodes {
-			if got.Nodes[i] != want.Nodes[i] {
-				return fmt.Errorf("serve-identity: %s (%s) served %v, direct %v",
-					algo.name, wantCache, got.Nodes, want.Nodes)
+			if got.Nodes[i] != want.Nodes[i] || math.Float64bits(got.StepGains[i]) != math.Float64bits(want.StepGains[i]) {
+				return fmt.Errorf("serve-identity: %s (%s) served %v (gains %v), direct %v (gains %v)",
+					algo.name, pass.name, got.Nodes, got.StepGains, want.Nodes, want.StepGains)
 			}
 		}
 		if math.Float64bits(got.Attracted) != math.Float64bits(want.Attracted) {
 			return fmt.Errorf("serve-identity: %s (%s) served attracted %v, direct %v: not bit-identical",
-				algo.name, wantCache, got.Attracted, want.Attracted)
+				algo.name, pass.name, got.Attracted, want.Attracted)
 		}
 	}
 	return nil

@@ -64,7 +64,7 @@ type BatchResponse struct {
 // Envelope failures (no items, too many items, a malformed problem) reject
 // the whole request; per-item validation is deliberately deferred to
 // execution so one bad item cannot sink its neighbours.
-func decodeBatchRequest(body []byte, maxItems int) (*BatchRequest, *core.Problem, *APIError) {
+func (s *Server) decodeBatchRequest(body []byte) (*BatchRequest, *fullProblem, *APIError) {
 	var req BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
@@ -72,7 +72,7 @@ func decodeBatchRequest(body []byte, maxItems int) (*BatchRequest, *core.Problem
 	if len(req.Items) == 0 {
 		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeBadBatch, "empty item list")
 	}
-	if len(req.Items) > maxItems {
+	if maxItems := s.cfg.MaxBatchItems; len(req.Items) > maxItems {
 		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeBadBatch,
 			"%d items exceeds the per-batch cap of %d", len(req.Items), maxItems)
 	}
@@ -81,11 +81,11 @@ func decodeBatchRequest(body []byte, maxItems int) (*BatchRequest, *core.Problem
 	}
 	// The shared engine ignores K (the digest excludes it); items carry
 	// their own budgets.
-	p, apiErr := decodeProblem(&req.ProblemSpec, 1)
+	fp, apiErr := s.decodeFull(&req.ProblemSpec, 1)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
-	return &req, p, nil
+	return &req, fp, nil
 }
 
 // handleBatch resolves the engine once and fans the items across the
@@ -93,19 +93,19 @@ func decodeBatchRequest(body []byte, maxItems int) (*BatchRequest, *core.Problem
 // result order is the item order whatever the goroutine schedule did — the
 // same determinism contract every parallel kernel in the repo follows.
 func (s *Server) handleBatch(r *http.Request, body []byte) (any, *APIError) {
-	req, p, apiErr := decodeBatchRequest(body, s.cfg.MaxBatchItems)
+	req, fp, apiErr := s.decodeBatchRequest(body)
 	if apiErr != nil {
 		return nil, apiErr
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	return s.runBatch(ctx, req, p)
+	return s.runBatch(ctx, req, fp)
 }
 
 // runBatch is the transport-free core of /v1/batch; the async job lane
 // reuses it under a job-scoped context.
-func (s *Server) runBatch(ctx context.Context, req *BatchRequest, p *core.Problem) (any, *APIError) {
-	res, apiErr := s.resolve(ctx, req.Digest, p)
+func (s *Server) runBatch(ctx context.Context, req *BatchRequest, fp *fullProblem) (any, *APIError) {
+	res, apiErr := s.resolve(ctx, req.Digest, fp)
 	if apiErr != nil {
 		return nil, apiErr
 	}

@@ -38,6 +38,12 @@ const (
 // budget, not one per update. A full-body request for a drifted lineage
 // is not a hit — its problem is sequence 0, not the lineage's head — and
 // the engine it builds replaces the head, restarting the lineage.
+//
+// The memo maps a full-body request's problem bytes (memoKey) to the seq-0
+// entry they decoded to, so a repeated body skips decode and digest and
+// goes straight to Get. Keys hang off their entry: removing the entry —
+// eviction, an update replacing it, a full-body rebuild — drops them, and
+// their bytes count against the budget with the engine's.
 type engineCache struct {
 	budget int64
 
@@ -45,30 +51,34 @@ type engineCache struct {
 	lru      *list.List               // front = most recently used; values are *cacheEntry
 	lineages map[string]*list.Element // base digest -> the lineage's one entry
 	flights  map[string]*flight
+	memo     map[memoKey]*list.Element // problem-bytes key -> its seq-0 entry
 	bytes    int64
 
 	hits, misses, coalesced *obs.Counter
 	evicted, builds         *obs.Counter
 	buildErrors             *obs.Counter
 	updates, unresolved     *obs.Counter
-	staleRefs               *obs.Counter
+	staleRefs, memoHits     *obs.Counter
 	bytesG, entriesG        *obs.Gauge
+	memoKeysG               *obs.Gauge
 	buildUS, updateUS       *obs.Histogram
 }
 
-// cacheEntry is one cached engine. All fields except mu are immutable
-// after the entry is published into the map; updates never mutate a
-// published entry, they replace it (ApplyCopy, then publish). mu serializes
-// updaters of the entry's lineage: an updater holds it across
-// apply-and-publish so two concurrent updates on one lineage cannot both
-// derive from the same sequence.
+// cacheEntry is one cached engine. All fields except keys, bytes and mu
+// are immutable after the entry is published into the map; updates never
+// mutate a published entry, they replace it (ApplyCopy, then publish).
+// keys and bytes grow, under the cache mutex, as memo keys are
+// remembered. mu serializes updaters of the entry's lineage: an updater
+// holds it across apply-and-publish so two concurrent updates on one
+// lineage cannot both derive from the same sequence.
 type cacheEntry struct {
 	digest string // full digest: base for seq 0, base@seq afterwards
 	base   string // lineage root (== ProblemDigest of the original problem)
 	seq    int
 	eng    *core.Engine
 	warm   *core.Warm // lazy: built by the first update, carried forward after
-	bytes  int64
+	keys   []memoKey  // memo keys resolving here; seq 0 only
+	bytes  int64      // arena bytes plus memoKeyBytes per key
 
 	mu sync.Mutex
 }
@@ -86,6 +96,7 @@ func newEngineCache(budget int64, reg *obs.Registry) *engineCache {
 		lru:         list.New(),
 		lineages:    map[string]*list.Element{},
 		flights:     map[string]*flight{},
+		memo:        map[memoKey]*list.Element{},
 		hits:        reg.Counter("serve.cache.hit"),
 		misses:      reg.Counter("serve.cache.miss"),
 		coalesced:   reg.Counter("serve.cache.coalesced"),
@@ -95,8 +106,10 @@ func newEngineCache(budget int64, reg *obs.Registry) *engineCache {
 		updates:     reg.Counter("serve.cache.updates"),
 		unresolved:  reg.Counter("serve.cache.unresolved"),
 		staleRefs:   reg.Counter("serve.cache.stale"),
+		memoHits:    reg.Counter("serve.cache.memo_hits"),
 		bytesG:      reg.Gauge("serve.cache.bytes"),
 		entriesG:    reg.Gauge("serve.cache.entries"),
+		memoKeysG:   reg.Gauge("serve.cache.memo_keys"),
 		buildUS:     reg.Histogram("serve.engine.build_us", obs.DurationBucketsUS),
 		updateUS:    reg.Histogram("serve.engine.update_us", obs.DurationBucketsUS),
 	}
@@ -167,6 +180,48 @@ func (c *engineCache) Get(ctx context.Context, digest string, build func() (*cor
 	case <-ctx.Done():
 		return nil, CacheMiss, ctx.Err()
 	}
+}
+
+// Recall looks a full-body request's memo key up: on a hit it returns the
+// digest and engine of the seq-0 entry those exact bytes decoded to, and
+// the request skips decode and digest. It counts only serve.cache.memo_hits;
+// the Get that follows is what counts the request's hit, miss or
+// coalesced wait.
+func (c *engineCache) Recall(key memoKey) (digest string, eng *core.Engine, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.memo[key]
+	if !ok {
+		return "", nil, false
+	}
+	c.memoHits.Inc()
+	ent := el.Value.(*cacheEntry)
+	return ent.digest, ent.eng, true
+}
+
+// Remember records that key's bytes decoded, validated and digested to
+// digest. Only the decode path calls it, after a successful Get, and it
+// writes the key only onto a lineage still at sequence 0. The key's bytes
+// are charged to its entry, which moves to the LRU front, and other
+// entries are evicted as on insert; a key that would not fit the budget
+// beside its own entry alone is not written.
+func (c *engineCache) Remember(key memoKey, digest string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.lineages[digest]
+	if !ok {
+		return
+	}
+	ent := el.Value.(*cacheEntry)
+	if _, dup := c.memo[key]; dup || ent.seq != 0 || ent.bytes+memoKeyBytes > c.budget {
+		return
+	}
+	ent.keys = append(ent.keys, key)
+	ent.bytes += memoKeyBytes
+	c.bytes += memoKeyBytes
+	c.memo[key] = el
+	c.lru.MoveToFront(el)
+	c.evictLocked()
 }
 
 // Resolve answers a by-reference lookup (see lookupLocked). There is
@@ -292,19 +347,30 @@ func (c *engineCache) insertLocked(ent *cacheEntry) {
 	}
 	c.lineages[ent.base] = c.lru.PushFront(ent)
 	c.bytes += ent.bytes
+	c.evictLocked()
+}
+
+// evictLocked evicts from the LRU tail until the byte budget holds again
+// or only the front entry is left, then publishes the occupancy gauges.
+func (c *engineCache) evictLocked() {
 	for c.bytes > c.budget && c.lru.Len() > 1 {
 		c.removeLocked(c.lru.Back())
 		c.evicted.Inc()
 	}
 	c.bytesG.Set(float64(c.bytes))
 	c.entriesG.Set(float64(c.lru.Len()))
+	c.memoKeysG.Set(float64(len(c.memo)))
 }
 
-// removeLocked detaches an entry from the LRU and the lineage map.
+// removeLocked detaches an entry from the LRU, the lineage map and the
+// memo.
 func (c *engineCache) removeLocked(el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	c.lru.Remove(el)
 	delete(c.lineages, ent.base)
+	for _, key := range ent.keys {
+		delete(c.memo, key)
+	}
 	c.bytes -= ent.bytes
 }
 

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -259,10 +262,96 @@ func decodeProblem(spec *ProblemSpec, k int) (*core.Problem, *APIError) {
 	return p, nil
 }
 
+// memoKey identifies a full-body problem by its wire bytes: a SHA-256 over
+// every ProblemSpec field decodeProblem reads, each length-framed. Two
+// bodies share a key only if decodeProblem would read identical input
+// from them; a reformatted graph or flows section is a different key.
+type memoKey [sha256.Size]byte
+
+// memoKeyBytes is what one memo key is charged against the cache budget:
+// the key in its entry's list and in the memo map, with the map's
+// per-slot overhead rounded up.
+const memoKeyBytes = 128
+
+func memoKeyOf(spec *ProblemSpec) memoKey {
+	h := sha256.New()
+	var buf [8]byte
+	w64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		//lint:ignore errdrop hash.Hash.Write is documented to never return an error
+		_, _ = h.Write(buf[:])
+	}
+	framed := func(b []byte) {
+		w64(uint64(len(b)))
+		//lint:ignore errdrop hash.Hash.Write is documented to never return an error
+		_, _ = h.Write(b)
+	}
+	nodes := func(ns []graph.NodeID) {
+		w64(uint64(len(ns)))
+		for _, v := range ns {
+			w64(uint64(v))
+		}
+	}
+	framed(spec.Graph)
+	framed(spec.Flows)
+	framed([]byte(spec.Utility))
+	w64(math.Float64bits(spec.UtilityD))
+	w64(uint64(spec.Shop))
+	nodes(spec.ExtraShops)
+	nodes(spec.Candidates)
+	var key memoKey
+	h.Sum(key[:0])
+	return key
+}
+
+// fullProblem is a full-body request's problem after decode. On the decode
+// path p holds the validated problem and resolve digests it; on a memo hit
+// p is nil and digest and graph come from the cached engine the key
+// recalled. Node checks run against graph either way.
+type fullProblem struct {
+	spec   *ProblemSpec
+	k      int
+	key    memoKey
+	p      *core.Problem
+	digest string
+	graph  *graph.Graph
+}
+
+// decodeFull resolves a full-body problem: a memo hit skips decode,
+// validation and digest; a miss decodes and validates exactly as
+// decodeProblem does.
+func (s *Server) decodeFull(spec *ProblemSpec, k int) (*fullProblem, *APIError) {
+	fp := &fullProblem{spec: spec, k: k, key: memoKeyOf(spec)}
+	if digest, eng, ok := s.cache.Recall(fp.key); ok {
+		fp.digest, fp.graph = digest, eng.Problem().Graph
+		return fp, nil
+	}
+	p, apiErr := decodeProblem(spec, k)
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	fp.p, fp.graph = p, p.Graph
+	return fp, nil
+}
+
+// build constructs the problem's engine for a cache miss. A recalled
+// problem whose entry left the cache before its Get decodes the same
+// bytes here, which succeeded once already.
+func (fp *fullProblem) build() (*core.Engine, error) {
+	p := fp.p
+	if p == nil {
+		var apiErr *APIError
+		if p, apiErr = decodeProblem(fp.spec, fp.k); apiErr != nil {
+			return nil, apiErr
+		}
+	}
+	return core.NewEngine(p)
+}
+
 // decodePlaceRequest parses and structurally validates a /v1/place body.
-// With a digest reference the problem fields stay undecoded and p is nil;
-// the handler resolves the engine from the cache instead.
-func decodePlaceRequest(body []byte) (*PlaceRequest, *core.Problem, *APIError) {
+// With a digest reference the problem fields stay undecoded and the
+// problem is nil; the handler resolves the engine from the cache instead.
+func (s *Server) decodePlaceRequest(body []byte) (*PlaceRequest, *fullProblem, *APIError) {
 	var req PlaceRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
@@ -274,11 +363,11 @@ func decodePlaceRequest(body []byte) (*PlaceRequest, *core.Problem, *APIError) {
 	if req.Digest != "" {
 		return &req, nil, nil
 	}
-	p, apiErr := decodeProblem(&req.ProblemSpec, req.K)
+	fp, apiErr := s.decodeFull(&req.ProblemSpec, req.K)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
-	return &req, p, nil
+	return &req, fp, nil
 }
 
 // checkQuery validates one placement query — a /v1/place body or a
@@ -314,7 +403,7 @@ func validNodes(g *graph.Graph, nodes []graph.NodeID, code, what string) *APIErr
 // decodeEvaluateRequest parses and validates a /v1/evaluate body. The
 // returned problem carries K=1: evaluation ignores the budget, and the
 // digest excludes it, so the engine is shared with placement queries.
-func decodeEvaluateRequest(body []byte) (*EvaluateRequest, *core.Problem, *APIError) {
+func (s *Server) decodeEvaluateRequest(body []byte) (*EvaluateRequest, *fullProblem, *APIError) {
 	var req EvaluateRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
@@ -322,18 +411,18 @@ func decodeEvaluateRequest(body []byte) (*EvaluateRequest, *core.Problem, *APIEr
 	if req.Digest != "" {
 		return &req, nil, nil
 	}
-	p, apiErr := decodeProblem(&req.ProblemSpec, 1)
+	fp, apiErr := s.decodeFull(&req.ProblemSpec, 1)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
-	if apiErr := validNodes(p.Graph, req.Placement, CodeBadPlacement, "placement"); apiErr != nil {
+	if apiErr := validNodes(fp.graph, req.Placement, CodeBadPlacement, "placement"); apiErr != nil {
 		return nil, nil, apiErr
 	}
-	return &req, p, nil
+	return &req, fp, nil
 }
 
 // decodeDetourRequest parses and validates a /v1/detour body.
-func decodeDetourRequest(body []byte) (*DetourRequest, *core.Problem, *APIError) {
+func (s *Server) decodeDetourRequest(body []byte) (*DetourRequest, *fullProblem, *APIError) {
 	var req DetourRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
@@ -344,14 +433,14 @@ func decodeDetourRequest(body []byte) (*DetourRequest, *core.Problem, *APIError)
 	if req.Digest != "" {
 		return &req, nil, nil
 	}
-	p, apiErr := decodeProblem(&req.ProblemSpec, 1)
+	fp, apiErr := s.decodeFull(&req.ProblemSpec, 1)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
-	if apiErr := validNodes(p.Graph, req.Nodes, CodeBadNodes, "queried"); apiErr != nil {
+	if apiErr := validNodes(fp.graph, req.Nodes, CodeBadNodes, "queried"); apiErr != nil {
 		return nil, nil, apiErr
 	}
-	return &req, p, nil
+	return &req, fp, nil
 }
 
 // decodeUpdateRequest parses a /v1/update body and lowers the wire ops

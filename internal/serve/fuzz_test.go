@@ -1,25 +1,34 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"roadside/internal/core"
 	"roadside/internal/graph"
 	"roadside/internal/testutil"
 	"roadside/internal/utility"
 )
 
 // FuzzServeRequest feeds arbitrary bytes through every endpoint decoder and
-// the full /v1/place handler: decoders must never panic, must return a
-// well-formed APIError (4xx/5xx with a stable code) on rejection, and must
-// only accept bodies that decode to a validated problem (or, for a digest
-// reference, to none). The checked-in
-// corpus under testdata/fuzz/FuzzServeRequest seeds the interesting shapes;
-// verify.sh runs this target in its fuzz smoke.
+// the full /v1/place, /v1/evaluate and /v1/detour handlers: decoders must
+// never panic, must return a well-formed APIError (4xx/5xx with a stable
+// code) on rejection, and must only accept bodies that decode to a
+// validated problem, to a memo hit, or (for a digest reference) to none.
+//
+// The memo path must answer exactly like the decode path. Each body goes
+// twice to a server whose memo holds the Fig. 4 problem under the seeds'
+// bytes, and once to a server whose 1-byte budget never fits a memo key,
+// so it always decodes. Status and error code must agree, and 200 bodies
+// must be identical except for the cache field. The one tolerated
+// difference is a 504 against a 200: a request deadline is checked
+// against the wall clock, and only the decode path digests (and, first
+// time, builds) before the check. The checked-in corpus under
+// testdata/fuzz/FuzzServeRequest seeds the interesting shapes; verify.sh
+// runs this target in its fuzz smoke.
 func FuzzServeRequest(f *testing.F) {
 	spec, err := ProblemSpecOf(testutil.Fig4Problem(f, utility.Linear{D: 10}))
 	if err != nil {
@@ -39,8 +48,33 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add(valid[:len(valid)/2]) // truncated mid-structure
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"graph":{"version":"bogus"},"flows":[],"k":-1}`))
+	// Memo-path seeds: node checks run against the recalled engine's graph
+	// before admission, so an out-of-range node stays a 422 even when the
+	// deadline has already passed.
+	badEval, err := json.Marshal(EvaluateRequest{ProblemSpec: spec, Placement: []graph.NodeID{99}, TimeoutMS: 1e-6})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(badEval)
+	badDetour, err := json.Marshal(DetourRequest{ProblemSpec: spec, Nodes: []graph.NodeID{-1}, TimeoutMS: 1e-6})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(badDetour)
 
-	srv := New(Config{})
+	memoSrv, decodeSrv := New(Config{}), New(Config{CacheBytes: 1})
+	serveBody := func(srv *Server, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	if rec := serveBody(memoSrv, "/v1/place", valid); rec.Code != http.StatusOK {
+		f.Fatalf("warm-up: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if n := memoSrv.Metrics().Gauge("serve.cache.memo_keys").Value(); n != 1 {
+		f.Fatalf("warm-up left %v memo keys, want 1", n)
+	}
+
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkErr := func(what string, apiErr *APIError) {
 			t.Helper()
@@ -55,48 +89,98 @@ func FuzzServeRequest(f *testing.F) {
 			}
 		}
 		// A by-reference body decodes to no problem by contract; any other
-		// accepted body must decode to a validated one.
-		checkProblem := func(what, digest string, p *core.Problem) {
+		// accepted body must decode to a validated problem or a memo hit.
+		checkProblem := func(what, digest string, fp *fullProblem) {
 			t.Helper()
-			if (p == nil) != (digest != "") || (p != nil && p.Validate() != nil) {
+			if (fp == nil) != (digest != "") || (fp != nil && !decodedOK(fp)) {
 				t.Errorf("%s: accepted body (digest %q) decoded to an invalid problem", what, digest)
 			}
 		}
-		if req, p, apiErr := decodePlaceRequest(body); apiErr != nil {
+		if req, fp, apiErr := memoSrv.decodePlaceRequest(body); apiErr != nil {
 			checkErr("place", apiErr)
 		} else {
-			checkProblem("place", req.Digest, p)
+			checkProblem("place", req.Digest, fp)
 		}
-		if req, p, apiErr := decodeEvaluateRequest(body); apiErr != nil {
+		if req, fp, apiErr := memoSrv.decodeEvaluateRequest(body); apiErr != nil {
 			checkErr("evaluate", apiErr)
 		} else {
-			checkProblem("evaluate", req.Digest, p)
+			checkProblem("evaluate", req.Digest, fp)
 		}
-		if req, p, apiErr := decodeDetourRequest(body); apiErr != nil {
+		if req, fp, apiErr := memoSrv.decodeDetourRequest(body); apiErr != nil {
 			checkErr("detour", apiErr)
 		} else {
-			checkProblem("detour", req.Digest, p)
+			checkProblem("detour", req.Digest, fp)
 		}
 
-		// End-to-end through the handler: whatever the body, the response
+		// End-to-end through the handlers: whatever the body, the response
 		// must be well-formed JSON — a 200 result or the uniform error
-		// shape, never garbage and never a panic.
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/v1/place", strings.NewReader(string(body)))
-		srv.Handler().ServeHTTP(rec, req)
-		if rec.Code == http.StatusOK {
-			var pl PlaceResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &pl); err != nil {
-				t.Errorf("200 body is not a PlaceResponse: %v", err)
-			}
-		} else {
-			var er ErrorResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Err.Code == "" {
-				t.Errorf("status %d body is not the uniform error shape: %v (%s)",
-					rec.Code, err, rec.Body.Bytes())
+		// shape, never garbage and never a panic — and the same through
+		// the memo path as through the decode path.
+		for _, path := range []string{"/v1/place", "/v1/evaluate", "/v1/detour"} {
+			want := serveBody(decodeSrv, path, body)
+			wantFields, wantCode := responseShape(t, path, want)
+			for send := 1; send <= 2; send++ {
+				got := serveBody(memoSrv, path, body)
+				gotFields, gotCode := responseShape(t, path, got)
+				if got.Code != want.Code {
+					if (got.Code == http.StatusOK) != (want.Code == http.StatusOK) &&
+						(got.Code == http.StatusGatewayTimeout) != (want.Code == http.StatusGatewayTimeout) {
+						continue // a wall-clock deadline fired on one path only
+					}
+					t.Fatalf("%s send %d: status %d (%s), decode path %d (%s)",
+						path, send, got.Code, gotCode, want.Code, wantCode)
+				}
+				if gotCode != wantCode {
+					t.Fatalf("%s send %d: error code %q, decode path %q", path, send, gotCode, wantCode)
+				}
+				if got.Code == http.StatusOK && !bytes.Equal(gotFields, wantFields) {
+					t.Fatalf("%s send %d: memo path answered\n%s\ndecode path\n%s", path, send, gotFields, wantFields)
+				}
 			}
 		}
 	})
+}
+
+// decodedOK reports whether an accepted full body decoded to a validated
+// problem or to a memo hit.
+func decodedOK(fp *fullProblem) bool {
+	if fp == nil {
+		return false
+	}
+	if fp.p == nil {
+		return fp.digest != ""
+	}
+	return fp.p.Validate() == nil
+}
+
+// responseShape checks that rec holds a well-formed answer from path — a
+// 200 result of the endpoint's type or the uniform error shape — and
+// returns the 200 body re-encoded without its cache field, or the error
+// code.
+func responseShape(t *testing.T, path string, rec *httptest.ResponseRecorder) (fields []byte, code string) {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		var er ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Err.Code == "" {
+			t.Errorf("%s: status %d body is not the uniform error shape: %v (%s)",
+				path, rec.Code, err, rec.Body.Bytes())
+		}
+		return nil, er.Err.Code
+	}
+	typed := map[string]any{"/v1/place": &PlaceResponse{}, "/v1/evaluate": &EvaluateResponse{}, "/v1/detour": &DetourResponse{}}[path]
+	if err := json.Unmarshal(rec.Body.Bytes(), typed); err != nil {
+		t.Errorf("%s: 200 body is not a %T: %v", path, typed, err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatalf("%s: 200 body is not a JSON object: %v", path, err)
+	}
+	delete(m, "cache")
+	fields, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fields, ""
 }
 
 // FuzzBatchRequest drives arbitrary bytes through the batch decoder and
@@ -127,14 +211,14 @@ func FuzzBatchRequest(f *testing.F) {
 
 	srv := New(Config{MaxBatchItems: 64})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if req, p, apiErr := decodeBatchRequest(body, 64); apiErr != nil {
+		if req, fp, apiErr := srv.decodeBatchRequest(body); apiErr != nil {
 			if apiErr.Status < 400 || apiErr.Status > 599 {
 				t.Errorf("batch: error status %d outside 4xx/5xx", apiErr.Status)
 			}
 			if apiErr.Code == "" {
 				t.Error("batch: empty error code")
 			}
-		} else if req == nil || (req.Digest == "" && (p == nil || p.Validate() != nil)) {
+		} else if req == nil || (req.Digest == "" && !decodedOK(fp)) {
 			t.Error("batch: accepted body decoded to an invalid problem")
 		}
 

@@ -120,15 +120,20 @@ type resolved struct {
 
 // resolve admits the request and returns its engine: by digest reference
 // when ref is set (the server never rebuilds from a reference), otherwise
-// the cached or freshly built engine for the full problem p. On success
+// the cached or freshly built engine for the full problem fp. A memo hit
+// arrives with its digest; the decode path digests here and, once Get has
+// succeeded, remembers the body's key for the next request. On success
 // the caller holds the gate slot, which covers build-or-wait AND the solve
 // that follows, and must release it.
-func (s *Server) resolve(ctx context.Context, ref string, p *core.Problem) (*resolved, *APIError) {
+func (s *Server) resolve(ctx context.Context, ref string, fp *fullProblem) (*resolved, *APIError) {
 	var digest string
 	if ref == "" {
-		var err error
-		if digest, err = core.ProblemDigest(p); err != nil {
-			return nil, errorf(http.StatusInternalServerError, CodeInternal, "digest: %v", err)
+		digest = fp.digest
+		if fp.p != nil {
+			var err error
+			if digest, err = core.ProblemDigest(fp.p); err != nil {
+				return nil, errorf(http.StatusInternalServerError, CodeInternal, "digest: %v", err)
+			}
 		}
 	}
 	if apiErr := s.admit(ctx); apiErr != nil {
@@ -142,15 +147,16 @@ func (s *Server) resolve(ctx context.Context, ref string, p *core.Problem) (*res
 		}
 		return &resolved{eng: ent.eng, warm: ent.warm, digest: ent.digest, outcome: CacheHit}, nil
 	}
-	eng, outcome, err := s.cache.Get(ctx, digest, func() (*core.Engine, error) {
-		return core.NewEngine(p)
-	})
+	eng, outcome, err := s.cache.Get(ctx, digest, fp.build)
 	if err != nil {
 		s.gate.Release()
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			return nil, ctxError(err)
 		}
 		return nil, errorf(http.StatusUnprocessableEntity, CodeBadProblem, "build engine: %v", err)
+	}
+	if fp.p != nil {
+		s.cache.Remember(fp.key, digest)
 	}
 	return &resolved{eng: eng, digest: digest, outcome: outcome}, nil
 }
@@ -181,19 +187,19 @@ func solve(r *resolved, k int, algo string) (*core.Placement, *APIError) {
 }
 
 func (s *Server) handlePlace(r *http.Request, body []byte) (any, *APIError) {
-	req, p, apiErr := decodePlaceRequest(body)
+	req, fp, apiErr := s.decodePlaceRequest(body)
 	if apiErr != nil {
 		return nil, apiErr
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	return s.runPlace(ctx, req, p)
+	return s.runPlace(ctx, req, fp)
 }
 
 // runPlace is the transport-free core of /v1/place. The async job lane
 // reuses it under a job-scoped context instead of a request context.
-func (s *Server) runPlace(ctx context.Context, req *PlaceRequest, p *core.Problem) (any, *APIError) {
-	res, apiErr := s.resolve(ctx, req.Digest, p)
+func (s *Server) runPlace(ctx context.Context, req *PlaceRequest, fp *fullProblem) (any, *APIError) {
+	res, apiErr := s.resolve(ctx, req.Digest, fp)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -215,13 +221,13 @@ func (s *Server) runPlace(ctx context.Context, req *PlaceRequest, p *core.Proble
 }
 
 func (s *Server) handleEvaluate(r *http.Request, body []byte) (any, *APIError) {
-	req, p, apiErr := decodeEvaluateRequest(body)
+	req, fp, apiErr := s.decodeEvaluateRequest(body)
 	if apiErr != nil {
 		return nil, apiErr
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	res, apiErr := s.resolve(ctx, req.Digest, p)
+	res, apiErr := s.resolve(ctx, req.Digest, fp)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -229,7 +235,7 @@ func (s *Server) handleEvaluate(r *http.Request, body []byte) (any, *APIError) {
 	// Full-problem placements were checked at decode; by-reference ones
 	// meet their graph only here.
 	eng := res.eng
-	p = eng.Problem()
+	p := eng.Problem()
 	if apiErr := validNodes(p.Graph, req.Placement, CodeBadPlacement, "placement"); apiErr != nil {
 		return nil, apiErr
 	}
@@ -254,13 +260,13 @@ func (s *Server) handleEvaluate(r *http.Request, body []byte) (any, *APIError) {
 }
 
 func (s *Server) handleDetour(r *http.Request, body []byte) (any, *APIError) {
-	req, p, apiErr := decodeDetourRequest(body)
+	req, fp, apiErr := s.decodeDetourRequest(body)
 	if apiErr != nil {
 		return nil, apiErr
 	}
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	res, apiErr := s.resolve(ctx, req.Digest, p)
+	res, apiErr := s.resolve(ctx, req.Digest, fp)
 	if apiErr != nil {
 		return nil, apiErr
 	}

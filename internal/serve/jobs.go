@@ -44,18 +44,18 @@ type jobRun func(ctx context.Context) (any, *APIError)
 // document the kind in CONTRIBUTING.md ("adding a job type").
 var jobKinds = map[string]func(s *Server, raw []byte) (jobRun, *APIError){
 	"place": func(s *Server, raw []byte) (jobRun, *APIError) {
-		req, p, apiErr := decodePlaceRequest(raw)
+		req, fp, apiErr := s.decodePlaceRequest(raw)
 		if apiErr != nil {
 			return nil, apiErr
 		}
-		return func(ctx context.Context) (any, *APIError) { return s.runPlace(ctx, req, p) }, nil
+		return func(ctx context.Context) (any, *APIError) { return s.runPlace(ctx, req, fp) }, nil
 	},
 	"batch": func(s *Server, raw []byte) (jobRun, *APIError) {
-		req, p, apiErr := decodeBatchRequest(raw, s.cfg.MaxBatchItems)
+		req, fp, apiErr := s.decodeBatchRequest(raw)
 		if apiErr != nil {
 			return nil, apiErr
 		}
-		return func(ctx context.Context) (any, *APIError) { return s.runBatch(ctx, req, p) }, nil
+		return func(ctx context.Context) (any, *APIError) { return s.runBatch(ctx, req, fp) }, nil
 	},
 }
 

@@ -192,3 +192,79 @@ func TestTinyCacheBudgetUnderRace(t *testing.T) {
 		t.Error("no evictions under a 1-byte budget with 4 rotating problems")
 	}
 }
+
+// TestMemoHitsRaceUpdatesAndRebuilds races full-body clients, most of them
+// memo hits, against an updater that keeps moving the lineage past
+// sequence 0, so the clients' requests keep turning into full-body
+// rebuilds that replace the drifted head and memoize the key again. Every
+// full-body answer must still be sequence 0's, bit for bit, and every Get
+// must land in exactly one of hit, miss and coalesced. Run under -race in
+// CI.
+func TestMemoHitsRaceUpdatesAndRebuilds(t *testing.T) {
+	const clients, rounds, updates = 6, 20, 20
+	p := &raceProblems(t, 1)[0]
+	s, ts := newTestServer(t, Config{})
+	if err := checkPlace(ts.URL, p); err != nil {
+		t.Fatal(err)
+	}
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 0; i < updates; i++ {
+			body, err := json.Marshal(UpdateRequest{Digest: p.digest,
+				Updates: []FlowUpdateSpec{{Op: "set_volume", Flow: 0, Volume: float64(10 + i)}}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.Post(ts.URL+"/v1/update", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			//lint:ignore errdrop only the status matters here
+			_, _ = io.Copy(io.Discard, resp.Body)
+			if err := resp.Body.Close(); err != nil {
+				t.Error(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("update %d: status %d", i, resp.StatusCode)
+				return
+			}
+		}
+	}()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			<-start
+			for j := 0; j < rounds; j++ {
+				if err := checkPlace(ts.URL, p); err != nil {
+					t.Errorf("client %d round %d: %v", c, j, err)
+					return
+				}
+			}
+		}(c)
+	}
+	close(start)
+	wg.Wait()
+
+	reg := s.Metrics()
+	hit, miss, coal := counter(reg, "serve.cache.hit"), counter(reg, "serve.cache.miss"), counter(reg, "serve.cache.coalesced")
+	if total := hit + miss + coal; total != clients*rounds+1 {
+		t.Errorf("hit %d + miss %d + coalesced %d = %d, want %d full-body Gets", hit, miss, coal, total, clients*rounds+1)
+	}
+	if memo := counter(reg, "serve.cache.memo_hits"); memo == 0 {
+		t.Error("no full-body request was a memo hit")
+	}
+	if builds := counter(reg, "serve.engine.builds"); builds != miss {
+		t.Errorf("builds %d, misses %d: every miss must build once", builds, miss)
+	}
+	if entries, _ := s.cache.Stats(); entries != 1 {
+		t.Errorf("cache entries = %d, want one per lineage", entries)
+	}
+}

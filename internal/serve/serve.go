@@ -4,7 +4,9 @@
 // package amortizes it the way an online advertisement-dissemination
 // deployment would: a byte-budgeted LRU of preprocessed engines keyed by
 // core.ProblemDigest, with singleflight coalescing so N concurrent queries
-// for the same uncached problem trigger exactly one engine build.
+// for the same uncached problem trigger exactly one engine build, and a
+// memo from a full body's problem bytes to that digest, so a repeated
+// body costs a hash instead of a decode.
 //
 // Endpoints (all bodies JSON):
 //

@@ -90,9 +90,10 @@ func postJSON(t *testing.T, url string, body []byte) (int, []byte) {
 // TestEndpointGoldens pins both directions of the wire format: the
 // checked-in request fixture is POSTed verbatim and the response must
 // match the checked-in golden byte-for-byte (the digest is content-
-// addressed and the solvers are deterministic, so this is stable).
+// addressed and the solvers are deterministic, so this is stable). The
+// fixture is then posted again, through the memo path.
 func TestEndpointGoldens(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name, path string
 		request    func() []byte
@@ -118,6 +119,16 @@ func TestEndpointGoldens(t *testing.T) {
 			if !bytes.Equal(body, want) {
 				t.Errorf("response drifted from golden %s_response.json:\ngot:  %swant: %s",
 					tc.name, body, want)
+			}
+
+			// Sent again, the fixture takes the memo path, which must answer
+			// the golden too, as a cache hit.
+			hits := memoHits(s)
+			status, again := postJSON(t, ts.URL+tc.path, reqBody)
+			wantAgain := bytes.Replace(want, []byte(`"cache":"miss"`), []byte(`"cache":"hit"`), 1)
+			if status != http.StatusOK || !bytes.Equal(again, wantAgain) || memoHits(s) != hits+1 {
+				t.Errorf("memo path (memo hits +%d) answered status %d:\n%s\nwant:\n%s",
+					memoHits(s)-hits, status, again, wantAgain)
 			}
 		})
 	}
@@ -384,7 +395,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	for _, want := range []string{"serve.engine.builds", "serve.cache.hit", "serve.http.place.requests"} {
+	for _, want := range []string{"serve.engine.builds", "serve.cache.hit", "serve.http.place.requests",
+		"serve.cache.memo_hits", "serve.cache.memo_keys"} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("metrics export lacks %q:\n%s", want, text)
 		}

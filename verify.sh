@@ -21,6 +21,13 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> perfbench's own tests (the benchmark's oracle against this checkout)"
+# perfbench/ is a module of its own, so the root go test never builds it.
+# Its tests drive the serving workloads' set-up and answer checks; a serve
+# change that breaks them (say, a hot answer that is no longer a hit)
+# fails here instead of only in the benchmark pipeline.
+(cd perfbench && GOWORK=off go test ./...)
+
 echo "==> fuzz smoke: FuzzGraphJSONRoundTrip (10s)"
 go test -run '^$' -fuzz '^FuzzGraphJSONRoundTrip$' -fuzztime 10s ./internal/graph
 
