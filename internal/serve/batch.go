@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"runtime"
 
@@ -65,9 +64,9 @@ type BatchResponse struct {
 // the whole request; per-item validation is deliberately deferred to
 // execution so one bad item cannot sink its neighbours.
 func (s *Server) decodeBatchRequest(body []byte) (*BatchRequest, *fullProblem, *APIError) {
-	var req BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	req, mp, apiErr := decodeRequest[BatchRequest](s, body)
+	if apiErr != nil {
+		return nil, nil, apiErr
 	}
 	if len(req.Items) == 0 {
 		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeBadBatch, "empty item list")
@@ -77,15 +76,15 @@ func (s *Server) decodeBatchRequest(body []byte) (*BatchRequest, *fullProblem, *
 			"%d items exceeds the per-batch cap of %d", len(req.Items), maxItems)
 	}
 	if req.Digest != "" {
-		return &req, nil, nil
+		return req, nil, nil
 	}
 	// The shared engine ignores K (the digest excludes it); items carry
 	// their own budgets.
-	fp, apiErr := s.decodeFull(&req.ProblemSpec, 1)
+	fp, apiErr := s.decodeFull(&req.ProblemSpec, 1, mp)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
-	return &req, fp, nil
+	return req, fp, nil
 }
 
 // handleBatch resolves the engine once and fans the items across the

@@ -182,19 +182,18 @@ func (c *engineCache) Get(ctx context.Context, digest string, build func() (*cor
 	}
 }
 
-// Recall looks a full-body request's memo key up: on a hit it returns the
+// Peek looks a full-body request's memo key up: on a hit it returns the
 // digest and engine of the seq-0 entry those exact bytes decoded to, and
-// the request skips decode and digest. It counts only serve.cache.memo_hits;
-// the Get that follows is what counts the request's hit, miss or
-// coalesced wait.
-func (c *engineCache) Recall(key memoKey) (digest string, eng *core.Engine, ok bool) {
+// the request skips decode and digest. It counts nothing: decodeFull
+// counts serve.cache.memo_hits once the request uses the recalled digest,
+// and the Get that follows counts its hit, miss or coalesced wait.
+func (c *engineCache) Peek(key memoKey) (digest string, eng *core.Engine, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.memo[key]
 	if !ok {
 		return "", nil, false
 	}
-	c.memoHits.Inc()
 	ent := el.Value.(*cacheEntry)
 	return ent.digest, ent.eng, true
 }

@@ -317,13 +317,73 @@ type fullProblem struct {
 	graph  *graph.Graph
 }
 
+// memoProbe is a full body's one memo lookup. decodeRequest makes it when
+// the body splits; decodeFull makes it otherwise.
+type memoProbe struct {
+	key    memoKey
+	keyed  bool         // key is the body's, and the memo has been consulted
+	digest string       // on a memo hit, the recalled digest
+	eng    *core.Engine // and engine
+}
+
+// fullBody is a full-body endpoint's request type, reached through its
+// embedded ProblemSpec.
+type fullBody[R any] interface {
+	*R
+	problem() *ProblemSpec
+}
+
+func (spec *ProblemSpec) problem() *ProblemSpec { return spec }
+
+// decodeRequest decodes a full-body endpoint's request and, when the body
+// splits, makes its memo lookup on the way. A body whose problem is
+// memoized is decoded from its small rest alone; every other body takes
+// the whole-body json.Unmarshal, so its errors are exactly those of a
+// plain decode.
+//
+// Why a memo hit may skip the whole-body parse: the key covers both spans
+// byte for byte, and the memo holds only keys of bodies that
+// encoding/json accepted and graph.ReadJSON/flow.ReadJSON decoded, so each
+// span is a valid JSON value. On valid JSON, splitProblem's quote,
+// backslash and bracket scan tokenizes as encoding/json does; so if the
+// rest parses, each null in it sits in the value slot of the exact key
+// graph or flows, which no other top-level key folds to. Putting the
+// spans back yields a body that json.Unmarshal accepts into the same
+// struct, with the spans as Graph and Flows. The same argument keeps a
+// miss from hashing twice: when the whole body parses, its spec is the
+// one the key was computed from.
+func decodeRequest[R any, P fullBody[R]](s *Server, body []byte) (*R, memoProbe, *APIError) {
+	var mp memoProbe
+	req := new(R)
+	if g, f, rest, ok := splitProblem(body); ok && json.Unmarshal(rest, req) == nil {
+		spec := P(req).problem()
+		spec.Graph, spec.Flows = g, f
+		mp.key, mp.keyed = memoKeyOf(spec), true
+		if mp.digest, mp.eng, ok = s.cache.Peek(mp.key); ok {
+			return req, mp, nil
+		}
+	}
+	req = new(R)
+	if err := json.Unmarshal(body, req); err != nil {
+		return nil, memoProbe{}, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	}
+	return req, mp, nil
+}
+
 // decodeFull resolves a full-body problem: a memo hit skips decode,
 // validation and digest; a miss decodes and validates exactly as
-// decodeProblem does.
-func (s *Server) decodeFull(spec *ProblemSpec, k int) (*fullProblem, *APIError) {
-	fp := &fullProblem{spec: spec, k: k, key: memoKeyOf(spec)}
-	if digest, eng, ok := s.cache.Recall(fp.key); ok {
-		fp.digest, fp.graph = digest, eng.Problem().Graph
+// decodeProblem does. It counts serve.cache.memo_hits once per request
+// that uses a recalled digest, so a request its decoder rejected before
+// this point counts none.
+func (s *Server) decodeFull(spec *ProblemSpec, k int, mp memoProbe) (*fullProblem, *APIError) {
+	if !mp.keyed {
+		mp.key = memoKeyOf(spec)
+		mp.digest, mp.eng, _ = s.cache.Peek(mp.key)
+	}
+	fp := &fullProblem{spec: spec, k: k, key: mp.key}
+	if mp.eng != nil {
+		s.cache.memoHits.Inc()
+		fp.digest, fp.graph = mp.digest, mp.eng.Problem().Graph
 		return fp, nil
 	}
 	p, apiErr := decodeProblem(spec, k)
@@ -352,22 +412,21 @@ func (fp *fullProblem) build() (*core.Engine, error) {
 // With a digest reference the problem fields stay undecoded and the
 // problem is nil; the handler resolves the engine from the cache instead.
 func (s *Server) decodePlaceRequest(body []byte) (*PlaceRequest, *fullProblem, *APIError) {
-	var req PlaceRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	req, mp, apiErr := decodeRequest[PlaceRequest](s, body)
+	if apiErr != nil {
+		return nil, nil, apiErr
 	}
-	var apiErr *APIError
 	if req.Algo, apiErr = checkQuery(req.K, req.Algo); apiErr != nil {
 		return nil, nil, apiErr
 	}
 	if req.Digest != "" {
-		return &req, nil, nil
+		return req, nil, nil
 	}
-	fp, apiErr := s.decodeFull(&req.ProblemSpec, req.K)
+	fp, apiErr := s.decodeFull(&req.ProblemSpec, req.K, mp)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
-	return &req, fp, nil
+	return req, fp, nil
 }
 
 // checkQuery validates one placement query — a /v1/place body or a
@@ -404,43 +463,43 @@ func validNodes(g *graph.Graph, nodes []graph.NodeID, code, what string) *APIErr
 // returned problem carries K=1: evaluation ignores the budget, and the
 // digest excludes it, so the engine is shared with placement queries.
 func (s *Server) decodeEvaluateRequest(body []byte) (*EvaluateRequest, *fullProblem, *APIError) {
-	var req EvaluateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	req, mp, apiErr := decodeRequest[EvaluateRequest](s, body)
+	if apiErr != nil {
+		return nil, nil, apiErr
 	}
 	if req.Digest != "" {
-		return &req, nil, nil
+		return req, nil, nil
 	}
-	fp, apiErr := s.decodeFull(&req.ProblemSpec, 1)
+	fp, apiErr := s.decodeFull(&req.ProblemSpec, 1, mp)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
 	if apiErr := validNodes(fp.graph, req.Placement, CodeBadPlacement, "placement"); apiErr != nil {
 		return nil, nil, apiErr
 	}
-	return &req, fp, nil
+	return req, fp, nil
 }
 
 // decodeDetourRequest parses and validates a /v1/detour body.
 func (s *Server) decodeDetourRequest(body []byte) (*DetourRequest, *fullProblem, *APIError) {
-	var req DetourRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, nil, errorf(http.StatusBadRequest, CodeBadJSON, "%v", err)
+	req, mp, apiErr := decodeRequest[DetourRequest](s, body)
+	if apiErr != nil {
+		return nil, nil, apiErr
 	}
 	if len(req.Nodes) == 0 {
 		return nil, nil, errorf(http.StatusUnprocessableEntity, CodeBadNodes, "empty node set")
 	}
 	if req.Digest != "" {
-		return &req, nil, nil
+		return req, nil, nil
 	}
-	fp, apiErr := s.decodeFull(&req.ProblemSpec, 1)
+	fp, apiErr := s.decodeFull(&req.ProblemSpec, 1, mp)
 	if apiErr != nil {
 		return nil, nil, apiErr
 	}
 	if apiErr := validNodes(fp.graph, req.Nodes, CodeBadNodes, "queried"); apiErr != nil {
 		return nil, nil, apiErr
 	}
-	return &req, fp, nil
+	return req, fp, nil
 }
 
 // decodeUpdateRequest parses a /v1/update body and lowers the wire ops

@@ -27,8 +27,10 @@ import (
 // difference is a 504 against a 200: a request deadline is checked
 // against the wall clock, and only the decode path digests (and, first
 // time, builds) before the check. The checked-in corpus under
-// testdata/fuzz/FuzzServeRequest seeds the interesting shapes; verify.sh
-// runs this target in its fuzz smoke.
+// testdata/fuzz/FuzzServeRequest and the seeds below cover the
+// interesting shapes, among them the memoized spans in envelopes that the
+// split accepts and declines; verify.sh runs this target in its fuzz
+// smoke.
 func FuzzServeRequest(f *testing.F) {
 	spec, err := ProblemSpecOf(testutil.Fig4Problem(f, utility.Linear{D: 10}))
 	if err != nil {
@@ -61,6 +63,28 @@ func FuzzServeRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(badDetour)
+	// Split-path seeds: the memoized Fig. 4 spans in other envelopes.
+	// Padded, reordered and note-carrying envelopes split and hit the memo.
+	// A case variant of a key or a repeated graph makes the split decline
+	// and leaves it to the whole-body decode: the memoized bytes win when
+	// they come last (a memo hit) and lose when a variant follows them.
+	// Invalid JSON in another member, a mistyped k and trailing bytes fail
+	// that decode.
+	_, graph, flows, small := fig4Members(f)
+	for _, body := range []string{
+		" \n{ \"graph\" :" + graph + " ,\t\"flows\":\r\n" + flows + " , " + small + " }\n",
+		`{` + small + `,"flows":` + flows + `,"graph":` + graph + `}`,
+		`{"Graph":{"nodes":[]},"graph":` + graph + `,"flows":` + flows + `,` + small + `}`,
+		`{"graph":{"nodes":[]},"flows":` + flows + `,"graph":` + graph + `,` + small + `}`,
+		`{"graph":` + graph + `,"flows":` + flows + `,"x":{],` + small + `}`,
+		`{"graph":` + graph + `,"flows":` + flows + `,` + strings.Replace(small, `"k":2`, `"k":"2"`, 1) + `}`,
+		`{"graph":` + graph + `,"flows":` + flows + `,` + small + `}}x`,
+		`{"note":"\"graph\":{}","graph":` + graph + `,"flows":` + flows + `,` + small + `}`,
+		`{"graph":` + graph + `,"flows":` + flows + `,` + small + `,"Graph":{"nodes":[]}}`,
+		"{\"graph\":" + graph + ",\"flows\":" + flows + "," + small + ",\"flowſ\":[]}",
+	} {
+		f.Add([]byte(body))
+	}
 
 	memoSrv, decodeSrv := New(Config{}), New(Config{CacheBytes: 1})
 	serveBody := func(srv *Server, path string, body []byte) *httptest.ResponseRecorder {

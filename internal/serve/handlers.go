@@ -67,19 +67,42 @@ func (s *Server) solveEndpoint(name string, h solveHandler) http.HandlerFunc {
 	}
 }
 
+// maxBodyHint caps the buffer a declared Content-Length may reserve before
+// any body byte has arrived. It covers a city-scale full problem (~85–112
+// KB); a longer body grows its buffer as its bytes arrive.
+const maxBodyHint = 256 << 10
+
 // readBody reads a request body under limit. Only a tripped byte limit is
 // 413; any other read failure (disconnect mid-upload, short body) is 400.
+// A Content-Length within the limit sizes the buffer, one byte over so
+// that the read which confirms EOF needs no growth, but never past
+// maxBodyHint before the bytes arrive; it is only a hint, and the bytes
+// returned are whatever the reader yields up to EOF, as with io.ReadAll.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, *APIError) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, errorf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"request body exceeds %d bytes", limit)
-		}
-		return nil, errorf(http.StatusBadRequest, CodeBadJSON, "read body: %v", err)
+	rd := http.MaxBytesReader(w, r.Body, limit)
+	size := int64(512) // io.ReadAll's first buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		size = min(n+1, maxBodyHint)
 	}
-	return body, nil
+	body := make([]byte, 0, size)
+	for {
+		n, err := rd.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			return body, nil
+		}
+		if err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				return nil, errorf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+					"request body exceeds %d bytes", limit)
+			}
+			return nil, errorf(http.StatusBadRequest, CodeBadJSON, "read body: %v", err)
+		}
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+	}
 }
 
 // ctxError maps a context failure onto the wire. Both expiry and client

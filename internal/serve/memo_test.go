@@ -182,6 +182,54 @@ func TestMemoKeyCompleteness(t *testing.T) {
 	}
 }
 
+// TestMemoHitCountsOnce: serve.cache.memo_hits counts once per request
+// that uses a recalled digest, whether the body reached the memo through
+// the split or through the whole-body decode, and not at all for a
+// memoized body rejected before that point.
+func TestMemoHitCountsOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body, graph, flows, small := fig4Members(t)
+	first := placeAnswer(t, ts.URL, body)
+	cases := []struct {
+		name     string
+		body     string
+		split    bool
+		status   int
+		code     string
+		memoHits int64
+	}{
+		{"envelope whitespace", " \n{ \"graph\" :" + graph + " ,\t\"flows\":\r\n" + flows + " , " + small + " }\n",
+			true, http.StatusOK, "", 1},
+		{"Graph key", `{"Graph":` + graph + `,"flows":` + flows + `,` + small + `}`,
+			false, http.StatusOK, "", 1},
+		{"k 0", `{"graph":` + graph + `,"flows":` + flows + `,` + strings.Replace(small, `"k":2`, `"k":0`, 1) + `}`,
+			true, http.StatusUnprocessableEntity, CodeBadBudget, 0},
+	}
+	for _, tc := range cases {
+		if _, _, _, ok := splitProblem([]byte(tc.body)); ok != tc.split {
+			t.Fatalf("%s: split %v, want %v", tc.name, ok, tc.split)
+		}
+		hits, gets := memoHits(s), counter(s.Metrics(), "serve.cache.hit")
+		if tc.status == http.StatusOK {
+			got := placeAnswer(t, ts.URL, []byte(tc.body))
+			if got.Cache != CacheHit || !samePlacement(first, got) {
+				t.Errorf("%s: cache %q, same answer %v; want a hit with the first answer", tc.name, got.Cache, samePlacement(first, got))
+			}
+		} else if status, code := postErrorCode(t, ts.URL+"/v1/place", []byte(tc.body)); status != tc.status || code != tc.code {
+			t.Errorf("%s: %d %s, want %d %s", tc.name, status, code, tc.status, tc.code)
+		}
+		if got := memoHits(s) - hits; got != tc.memoHits {
+			t.Errorf("%s: memo hits +%d, want +%d", tc.name, got, tc.memoHits)
+		}
+		if got := counter(s.Metrics(), "serve.cache.hit") - gets; got != tc.memoHits {
+			t.Errorf("%s: cache hits +%d, want +%d", tc.name, got, tc.memoHits)
+		}
+	}
+	if memoKeys(s) != 1 {
+		t.Errorf("memo keys %v, want 1: a memo hit writes no key", memoKeys(s))
+	}
+}
+
 // TestMemoKeepsCheckOrder: on the memo path, node checks still run before
 // admission, so an out-of-range node on a request whose deadline has
 // already passed answers 422, exactly as on the decode path.
@@ -306,8 +354,8 @@ func TestCacheMemoLifetime(t *testing.T) {
 	}
 	c.Remember(key(1), base)
 	c.Remember(key(1), base) // a repeat is not charged twice
-	if d, e, ok := c.Recall(key(1)); !ok || d != base || e != eng {
-		t.Fatalf("Recall = %q, %p, %v; want the seq-0 entry", d, e, ok)
+	if d, e, ok := c.Peek(key(1)); !ok || d != base || e != eng {
+		t.Fatalf("Peek = %q, %p, %v; want the seq-0 entry", d, e, ok)
 	}
 	if _, bytes := c.Stats(); bytes != arena+memoKeyBytes || keys() != 1 {
 		t.Fatalf("bytes %d, keys %v; want %d, 1", bytes, keys(), arena+memoKeyBytes)
@@ -316,11 +364,11 @@ func TestCacheMemoLifetime(t *testing.T) {
 	if _, _, apiErr := c.Update(base, []core.FlowUpdate{{Op: core.OpSetVolume, Flow: 0, Volume: 70}}); apiErr != nil {
 		t.Fatal(apiErr)
 	}
-	if _, _, ok := c.Recall(key(1)); ok || keys() != 0 {
-		t.Fatalf("Recall after update = %v, keys %v; want the key gone with its entry", ok, keys())
+	if _, _, ok := c.Peek(key(1)); ok || keys() != 0 {
+		t.Fatalf("Peek after update = %v, keys %v; want the key gone with its entry", ok, keys())
 	}
 	c.Remember(key(2), base) // the lineage is at sequence 1
-	if _, _, ok := c.Recall(key(2)); ok {
+	if _, _, ok := c.Peek(key(2)); ok {
 		t.Fatal("a key was written onto a lineage past sequence 0")
 	}
 	if _, bytes := c.Stats(); bytes != arena {
@@ -335,13 +383,13 @@ func TestCacheMemoLifetime(t *testing.T) {
 	if _, _, err := c.Get(ctx, "b", build); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Recall(key(3)); ok || keys() != 0 {
-		t.Fatalf("Recall(a's key) = %v, keys %v after a was evicted", ok, keys())
+	if _, _, ok := c.Peek(key(3)); ok || keys() != 0 {
+		t.Fatalf("Peek(a's key) = %v, keys %v after a was evicted", ok, keys())
 	}
 	if entries, bytes := c.Stats(); entries != 1 || bytes != arena {
 		t.Fatalf("Stats = (%d, %d), want (1, %d)", entries, bytes, arena)
 	}
-	if got := counter(reg, "serve.cache.memo_hits"); got != 1 {
-		t.Errorf("memo hits = %d, want 1", got)
+	if got := counter(reg, "serve.cache.memo_hits"); got != 0 {
+		t.Errorf("memo hits = %d, want 0: Peek counts nothing, decodeFull does", got)
 	}
 }

@@ -6,7 +6,7 @@
 // core.ProblemDigest, with singleflight coalescing so N concurrent queries
 // for the same uncached problem trigger exactly one engine build, and a
 // memo from a full body's problem bytes to that digest, so a repeated
-// body costs a hash instead of a decode.
+// body costs a scan and a hash instead of a decode.
 //
 // Endpoints (all bodies JSON):
 //

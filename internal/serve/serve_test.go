@@ -34,7 +34,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 }
 
 // fig4Spec returns the paper's Fig. 4 worked example in wire form.
-func fig4Spec(t *testing.T) ProblemSpec {
+func fig4Spec(t testing.TB) ProblemSpec {
 	t.Helper()
 	spec, err := ProblemSpecOf(testutil.Fig4Problem(t, utility.Linear{D: 10}))
 	if err != nil {
@@ -279,6 +279,76 @@ func TestOversizedBody(t *testing.T) {
 	}
 	if er.Err.Code != "body_too_large" {
 		t.Errorf("error code %q, want body_too_large", er.Err.Code)
+	}
+}
+
+// TestReadBodyContentLengthHint: a request's Content-Length only sizes
+// readBody's buffer. Shorter or longer than the real body, or above
+// MaxBody, it changes neither the bytes read (those of io.ReadAll under
+// the same limit) nor the status and body of the answer.
+func TestReadBodyContentLengthHint(t *testing.T) {
+	const limit = 4096
+	s := New(Config{MaxBody: limit})
+	valid := compact(t, PlaceRequest{ProblemSpec: fig4Spec(t), K: 2})
+	atLimit := append(append([]byte{}, valid...), bytes.Repeat([]byte(" "), limit-len(valid))...)
+	request := func(body []byte, contentLength int64) *http.Request {
+		req := httptest.NewRequest(http.MethodPost, "/v1/place", bytes.NewReader(body))
+		req.ContentLength = contentLength
+		return req
+	}
+	serve := func(req *http.Request) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	for _, body := range [][]byte{valid, atLimit, append(atLimit, ' '), {}, []byte("{")} {
+		n := int64(len(body))
+		serve(request(body, n)) // leaves the same cache outcome for every later send
+		want := serve(request(body, n))
+		for _, cl := range []int64{-1, 0, 1, n / 2, n - 1, n + 1, 2*n + 1, limit, limit + 1, 1 << 40} {
+			rec := httptest.NewRecorder()
+			ref, refErr := io.ReadAll(http.MaxBytesReader(rec, request(body, cl).Body, limit))
+			got, apiErr := readBody(rec, request(body, cl), limit)
+			if (apiErr == nil) != (refErr == nil) || (refErr == nil && !bytes.Equal(got, ref)) {
+				t.Errorf("%d-byte body, Content-Length %d: read %d bytes (%v), io.ReadAll %d (%v)",
+					n, cl, len(got), apiErr, len(ref), refErr)
+			}
+			if apiErr != nil && apiErr.Status != want.Code {
+				t.Errorf("%d-byte body, Content-Length %d: read error %d, want %d", n, cl, apiErr.Status, want.Code)
+			}
+			if rec := serve(request(body, cl)); rec.Code != want.Code || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+				t.Errorf("%d-byte body, Content-Length %d: answered %d %s, want %d %s",
+					n, cl, rec.Code, rec.Body.Bytes(), want.Code, want.Body.Bytes())
+			}
+		}
+	}
+}
+
+// TestReadBodyHintCapped: a declared Content-Length reserves at most
+// maxBodyHint bytes before the body arrives, so a client that declares
+// MaxBody and sends nothing holds no more than that, and a body longer
+// than the hint still reads whole.
+func TestReadBodyHintCapped(t *testing.T) {
+	long := bytes.Repeat([]byte("x"), 3*maxBodyHint+7)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		cl   int64
+	}{
+		{"empty body, Content-Length MaxBody", nil, DefaultMaxBody},
+		{"short body, Content-Length MaxBody", []byte("{}"), DefaultMaxBody},
+		{"long body, honest Content-Length", long, int64(len(long))},
+		{"long body, Content-Length MaxBody", long, DefaultMaxBody},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/place", bytes.NewReader(tc.body))
+		req.ContentLength = tc.cl
+		got, apiErr := readBody(httptest.NewRecorder(), req, DefaultMaxBody)
+		if apiErr != nil || !bytes.Equal(got, tc.body) {
+			t.Errorf("%s: read %d bytes (%v), want the %d sent", tc.name, len(got), apiErr, len(tc.body))
+		}
+		if len(tc.body) < maxBodyHint && cap(got) > maxBodyHint {
+			t.Errorf("%s: buffer of %d bytes for a %d-byte body, want at most %d", tc.name, cap(got), len(tc.body), maxBodyHint)
+		}
 	}
 }
 

@@ -43,6 +43,9 @@ go test -run '^$' -fuzz '^FuzzModelConfig$' -fuzztime 10s ./internal/model
 echo "==> fuzz smoke: FuzzServeRequest (10s)"
 go test -run '^$' -fuzz '^FuzzServeRequest$' -fuzztime 10s ./internal/serve
 
+echo "==> fuzz smoke: FuzzSplitProblem (10s)"
+go test -run '^$' -fuzz '^FuzzSplitProblem$' -fuzztime 10s ./internal/serve
+
 echo "==> fuzz smoke: FuzzBatchRequest (10s)"
 go test -run '^$' -fuzz '^FuzzBatchRequest$' -fuzztime 10s ./internal/serve
 
