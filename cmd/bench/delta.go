@@ -18,9 +18,9 @@ import (
 // Dublin fixture, each both ways:
 //
 //   - volume drift: re-scaled daily volumes on a handful of flows
-//     (rush hour), the common case the in-place gain rescale optimizes;
+//     (rush hour), the common case the in-place gain rewrite optimizes;
 //   - add/remove churn: a new flow appears and an old one disappears
-//     (a route change), exercising the CSR row edit and reshard guard.
+//     (a route change), exercising the shard rebuild from stored rows.
 //
 // The rebuild path is what a deployment without the delta layer pays per
 // drift tick: full engine preprocessing on the mutated problem plus a

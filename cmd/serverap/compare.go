@@ -82,8 +82,7 @@ func runCompare(cfg serve.Config, o compareOpts) error {
 			seed:     o.seed,
 			shards:   shards,
 			zipfS:    1.01, // near-uniform popularity: the whole set stays hot
-			heavy:    true,
-			byRef:    true,
+			capacity: true,
 		})
 	}
 	single, err := phase(1)

@@ -41,20 +41,18 @@ type loadOpts struct {
 	// zipfS skews the problem-popularity distribution (must be > 1; a
 	// value near 1 is near-uniform, larger values concentrate traffic).
 	zipfS float64
-	// heavy generates city-scale problems (expensive engine builds) in
-	// place of the small invariant instances — the compare mode's working
-	// set, where cache capacity rather than solve cost bounds throughput.
-	heavy bool
-	// byRef makes clients address problems by digest (the steady-state
-	// usage pattern) and fall back to the full-problem body only when the
-	// serving side answers unknown_digest — so cache misses pay the full
-	// decode + build cost while hits ride the cheap reference path.
-	byRef bool
-	// coalesceGate asserts cluster-wide builds <= problems+1 after the
-	// run; disable when the cache is deliberately undersized and
-	// re-builds are the point.
-	coalesceGate bool
-	metricsOut   string
+	// capacity selects the compare mode's run, where cache capacity rather
+	// than solve cost bounds throughput. It generates city-scale problems
+	// (expensive engine builds) in place of the small invariant instances,
+	// and clients address them by digest (the steady-state usage pattern),
+	// falling back to the full-problem body only when the serving side
+	// answers unknown_digest — so cache misses pay the full decode + build
+	// cost while hits ride the cheap reference path. Its cache is
+	// deliberately undersized and re-builds are the point, so the
+	// cluster-wide builds <= problems+1 coalescing gate, which every
+	// other run asserts, is off.
+	capacity   bool
+	metricsOut string
 }
 
 // loadStats is what one load run measured.
@@ -576,7 +574,7 @@ func runLoad(cfg serve.Config, o loadOpts) (*loadStats, error) {
 	if o.zipfS <= 1 {
 		o.zipfS = 1.1
 	}
-	pool, _, err := buildPool(o.problems, o.seed, o.heavy)
+	pool, _, err := buildPool(o.problems, o.seed, o.capacity)
 	if err != nil {
 		return nil, err
 	}
@@ -659,7 +657,7 @@ func runLoad(cfg serve.Config, o loadOpts) (*loadStats, error) {
 		}
 	}()
 
-	lc := &loadClient{c: client, base: base, byRef: o.byRef, reseeds: &reseeds}
+	lc := &loadClient{c: client, base: base, byRef: o.capacity, reseeds: &reseeds}
 	for c := 0; c < o.clients; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -768,7 +766,7 @@ func runLoad(cfg serve.Config, o loadOpts) (*loadStats, error) {
 	if st.failures > 0 {
 		return st, fmt.Errorf("%d of %d requests failed", st.failures, st.requests)
 	}
-	if o.coalesceGate && st.builds > int64(len(pool))+1 {
+	if !o.capacity && st.builds > int64(len(pool))+1 {
 		return st, fmt.Errorf("%d engine builds for %d distinct problems (coalescing or shard affinity broken)",
 			st.builds, len(pool)+1)
 	}

@@ -99,14 +99,13 @@ func run(args []string) error {
 	}
 	if *load > 0 {
 		_, err := runLoad(cfg, loadOpts{
-			dur:          *load,
-			clients:      *clients,
-			problems:     *problems,
-			seed:         *seed,
-			shards:       *shards,
-			zipfS:        *zipfS,
-			coalesceGate: true,
-			metricsOut:   *metricsOut,
+			dur:        *load,
+			clients:    *clients,
+			problems:   *problems,
+			seed:       *seed,
+			shards:     *shards,
+			zipfS:      *zipfS,
+			metricsOut: *metricsOut,
 		})
 		return err
 	}

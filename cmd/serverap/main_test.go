@@ -17,7 +17,7 @@ func TestRunLoadSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "metrics.txt")
 	st, err := runLoad(serve.Config{}, loadOpts{
 		dur: 300 * time.Millisecond, clients: 2, problems: 2, seed: 1,
-		coalesceGate: true, metricsOut: out,
+		metricsOut: out,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func TestRunLoadShardedSmoke(t *testing.T) {
 	}
 	st, err := runLoad(serve.Config{}, loadOpts{
 		dur: 400 * time.Millisecond, clients: 3, problems: 3, seed: 2,
-		shards: 3, coalesceGate: true,
+		shards: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,22 +15,29 @@ import (
 // The engine's arenas factor cleanly by flow: a visit's gain is
 // Utility.Prob(detour, alpha) * Volume and its detour depends only on the
 // graph, the shops, and the flow's own path — never on other flows. So a
-// volume change is an O(visits-of-flow) gain rewrite against the stored
-// detours, a removal is a splice of the owning shard's CSR rows, and an
-// addition computes one detour column from the retained shop trees plus a
-// single pruned many-to-many group. Nothing else moves.
+// batch is applied in one of two modes, picked from the batch:
+//
+//   - A volume-only batch rewrites the named flows' gains in place against
+//     their stored detours, O(visits-of-flow) each. Nothing else moves.
+//   - A batch that adds or removes a flow collects every final flow's rows
+//     (the stored rows of a survivor, one detour column for an added flow,
+//     computed from the retained shop trees plus a single pruned
+//     many-to-many group) and lays them out with shardBounds exactly as
+//     buildEngine does. Shards that end below the lowest flow index the
+//     batch names are kept; the rest are rebuilt by the same visit-arena
+//     assembler buildEngine uses (arenaShard.assembleVisits).
 //
 // The contract pinned by the delta-identity invariant is strict: after any
 // update sequence the mutated engine must equal NewEngine(ApplyToProblem(p,
 // ops)) at Float64bits granularity — fingerprint, placements, step gains,
 // and prefix objectives. Bit-identity survives because every recomputed
 // value is produced by the same pure function on the same bit patterns a
-// fresh build would use: Prob(storedDetour, alpha) * newVolume for volume
-// changes (no ratio scaling, which would drift), Dijkstra-exact
-// many-to-many columns for added flows (pruning never changes distances —
-// the many-to-many-identity invariant pins that), and a shard layout kept
-// equal to shardBounds on the mutated visit counts (resharding from stored
-// rows when the greedy packing diverges, without re-running any Dijkstra).
+// fresh build would use: Prob(storedDetour, alpha) * volume for gains (no
+// ratio scaling, which would drift), Dijkstra-exact many-to-many columns
+// for added flows (pruning never changes distances — the
+// many-to-many-identity invariant pins that), and a shard layout that is
+// shardBounds on the final visit counts, assembled by the build's own
+// counting sort.
 
 // ErrBadUpdate reports a structurally invalid flow update (bad op, index
 // out of range, removing the last flow).
@@ -149,7 +156,8 @@ func (e *Engine) Apply(ops []FlowUpdate) ([]graph.NodeID, error) {
 // ops applied while leaving the receiver fully intact for concurrent
 // readers. Untouched arrays are shared between the two engines (copy on
 // write at whole-array granularity), so a volume update on one shard
-// clones only that shard's gain array.
+// clones only that shard's gain array and a structural batch shares every
+// shard it keeps.
 func (e *Engine) ApplyCopy(ops []FlowUpdate) (*Engine, []graph.NodeID, error) {
 	cp := *e
 	cp.shards = append([]arenaShard(nil), e.shards...)
@@ -160,33 +168,20 @@ func (e *Engine) ApplyCopy(ops []FlowUpdate) (*Engine, []graph.NodeID, error) {
 	return &cp, touched, nil
 }
 
-// deltaMut carries the per-batch mutation state: the evolving flow slice
-// and visit counts, the touched-node set, and — under copy-on-write — which
-// shards' in-place-written arrays have been cloned already.
-type deltaMut struct {
-	e      *Engine
-	flows  []flow.Flow
-	counts []int // per-flow distinct-node visit counts
-	// touched is a dense mark array over node IDs (cheaper than a map at
-	// volume-drift densities); touchedList keeps the distinct marks.
-	touched     []bool
-	touchedList []graph.NodeID
-
-	cow    bool
-	gainOK []bool // visitGain of shard i is safe to write
-	flowOK []bool // visitFlow of shard i is safe to write
-}
-
-// applyOps validates the whole batch, then mutates e's arenas op by op and
-// finally swaps in the mutated problem. cow=true forbids writing any array
-// the receiver shared with the pre-copy engine.
+// applyOps simulates and validates the whole batch on a copy of the flow
+// slice, then writes e's arenas in one of two modes and swaps in the
+// mutated problem: a volume-only batch rewrites the named flows' gains in
+// place (setGains), and a batch that adds or removes a flow rebuilds the
+// shards from stored rows (rebuildShards). Every error surfaces before e
+// is written. cow=true forbids writing any array the receiver shared with
+// the pre-copy engine.
 func (e *Engine) applyOps(ops []FlowUpdate, cow bool) ([]graph.NodeID, error) {
 	if len(e.shards) == 0 {
 		return nil, fmt.Errorf("core: delta update on zero-value engine")
 	}
 	if e.p.Model != nil {
 		// Model weights may couple flows (capacity demand sums every
-		// flow's volume through a node), so the per-flow gain rescale
+		// flow's volume through a node), so the per-flow gain rewrite
 		// below would silently leave other flows' weights stale.
 		return nil, fmt.Errorf("%w: engine built with model %q", ErrModelUpdate, e.p.Model.Name())
 	}
@@ -194,410 +189,172 @@ func (e *Engine) applyOps(ops []FlowUpdate, cow bool) ([]graph.NodeID, error) {
 		return nil, fmt.Errorf("%w: empty update batch", ErrBadUpdate)
 	}
 
-	// Validation pass: simulate the batch on copies so arena mutation below
-	// cannot fail halfway. Visit counts are tracked because OpAddFlow must
-	// respect the shard budget (a flow too large for any shard is the one
-	// add that construction itself would reject).
+	// src maps each simulated flow to its engine index (-1: added by this
+	// batch), and low is the lowest flow index any op names. Removals
+	// shift only the flows above them and adds append, so every flow
+	// below low keeps its index and its rows.
 	g := e.p.Graph
-	simFlows := e.p.Flows.Flows()
-	simCounts := e.flowCounts()
+	flows := e.p.Flows.Flows()
+	src := make([]int, len(flows))
+	for i := range src {
+		src[i] = i
+	}
+	low, structural := len(flows), false
+	var named []int // engine indices of the flows set or removed (-1: added)
 	var err error
 	for i, op := range ops {
-		if simFlows, err = applyToFlows(g, simFlows, op); err != nil {
+		at := op.Flow
+		if op.Op == OpAddFlow {
+			at = len(flows)
+		}
+		if flows, err = applyToFlows(g, flows, op); err != nil {
 			return nil, fmt.Errorf("core: update %d: %w", i, err)
 		}
+		low = min(low, at)
+		structural = structural || op.Op != OpSetVolume
 		switch op.Op {
 		case OpSetVolume:
+			named = append(named, src[at])
 		case OpRemoveFlow:
-			simCounts = append(simCounts[:op.Flow], simCounts[op.Flow+1:]...)
+			named = append(named, src[at])
+			src = append(src[:at], src[at+1:]...)
 		case OpAddFlow:
-			nodes := sortedDistinct(append([]graph.NodeID(nil), op.Add.Path...))
-			if len(nodes) > e.maxShardVisits {
-				return nil, fmt.Errorf("core: update %d: %w: flow needs %d visit slots, shard budget %d",
-					i, ErrArenaOverflow, len(nodes), e.maxShardVisits)
+			src = append(src, -1)
+		}
+	}
+
+	// touched is a dense mark array over node IDs (cheaper than a map at
+	// volume-drift densities); list keeps the distinct marks.
+	touched := make([]bool, g.NumNodes())
+	var list []graph.NodeID
+	touch := func(nodes []graph.NodeID) {
+		for _, v := range nodes {
+			if !touched[v] {
+				touched[v] = true
+				list = append(list, v)
 			}
-			simCounts = append(simCounts, len(nodes))
+		}
+	}
+	for _, f := range named {
+		if f >= 0 {
+			nodes, _ := e.flowRows(f)
+			touch(nodes)
 		}
 	}
 
-	m := &deltaMut{
-		e:       e,
-		flows:   e.p.Flows.Flows(),
-		counts:  e.flowCounts(),
-		touched: make([]bool, e.p.Graph.NumNodes()),
-		cow:     cow,
-	}
-	if cow {
-		m.gainOK = make([]bool, len(e.shards))
-		m.flowOK = make([]bool, len(e.shards))
-	}
-	for i, op := range ops {
-		if err := m.applyOne(op); err != nil {
-			// Unreachable after the validation pass short of an engine bug;
-			// surface it rather than panic.
-			return nil, fmt.Errorf("core: update %d: %w", i, err)
-		}
-	}
-
-	// A batch of pure volume ops leaves every path untouched, so the new
-	// flow set can share the old one's node-incidence index instead of
-	// rebuilding it — the dominant cost of a volume-drift Apply.
-	volumeOnly := true
-	for _, op := range ops {
-		if op.Op != OpSetVolume {
-			volumeOnly = false
-			break
-		}
-	}
 	var set *flow.Set
-	if volumeOnly {
-		set, err = flow.NewSetSharedIndex(e.p.Flows, m.flows)
+	if structural {
+		set, err = flow.NewSet(flows)
 	} else {
-		set, err = flow.NewSet(m.flows)
+		// Paths are untouched, so the new set shares the old one's
+		// node-incidence index instead of rebuilding it — the dominant
+		// cost of a volume-drift Apply.
+		set, err = flow.NewSetSharedIndex(e.p.Flows, flows)
 	}
 	if err != nil {
 		return nil, err
+	}
+	if structural {
+		shards, err := e.rebuildShards(flows, src, low, touch)
+		if err != nil {
+			return nil, err
+		}
+		e.shards = shards
+	} else {
+		e.setGains(ops, flows, cow)
 	}
 	pc := *e.p
 	pc.Flows = set
 	e.p = &pc
 
-	out := m.touchedList
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, nil
+	sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
+	return list, nil
 }
 
-// flowCounts reads the per-flow visit counts back out of the shard offsets.
-func (e *Engine) flowCounts() []int {
-	var counts []int
-	for si := range e.shards {
+// setGains rewrites the visit gains of the flows a volume-only batch
+// names from their stored detours. The recompute calls the same
+// Prob(detour, alpha) * volume a fresh build would, on the same detour
+// bits, so the result is bit-identical — a multiplicative rescale by
+// newVolume/oldVolume would not be. Under cow a shard's gain array is
+// cloned before its first write.
+func (e *Engine) setGains(ops []FlowUpdate, flows []flow.Flow, cow bool) {
+	cloned := make([]bool, len(e.shards))
+	u := e.p.Utility
+	for _, op := range ops {
+		f := flows[op.Flow]
+		si := e.shardIndexForFlow(op.Flow)
 		sh := &e.shards[si]
-		for k := 0; k+1 < len(sh.flowOff); k++ {
-			counts = append(counts, int(sh.flowOff[k+1]-sh.flowOff[k]))
+		if cow && !cloned[si] {
+			sh.visitGain = append([]float64(nil), sh.visitGain...)
+			cloned[si] = true
 		}
-	}
-	return counts
-}
-
-// curBounds reads the current shard partition as shardBounds-style ranges.
-func (e *Engine) curBounds() [][2]int {
-	b := make([][2]int, len(e.shards))
-	for i := range e.shards {
-		b[i] = [2]int{int(e.shards[i].flowLo), int(e.shards[i].flowHi)}
-	}
-	return b
-}
-
-func boundsEqual(a, b [][2]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// shardIndexForFlow is shardForFlow returning the index instead of the
-// pointer.
-func (e *Engine) shardIndexForFlow(f int) int {
-	return sort.Search(len(e.shards), func(i int) bool { return int(e.shards[i].flowHi) > f })
-}
-
-// writableGain returns shard si's visitGain array, cloning it first when
-// the batch runs copy-on-write and the array is still shared.
-func (m *deltaMut) writableGain(si int) []float64 {
-	sh := &m.e.shards[si]
-	if m.cow && !m.gainOK[si] {
-		sh.visitGain = append([]float64(nil), sh.visitGain...)
-		m.gainOK[si] = true
-	}
-	return sh.visitGain
-}
-
-// writableVisitFlow is writableGain for the visitFlow array.
-func (m *deltaMut) writableVisitFlow(si int) []int32 {
-	sh := &m.e.shards[si]
-	if m.cow && !m.flowOK[si] {
-		sh.visitFlow = append([]int32(nil), sh.visitFlow...)
-		m.flowOK[si] = true
-	}
-	return sh.visitFlow
-}
-
-// markFresh records that shard si's arrays were wholly reallocated by this
-// batch and are safe for further in-place writes.
-func (m *deltaMut) markFresh(si int) {
-	if m.cow {
-		m.gainOK[si] = true
-		m.flowOK[si] = true
-	}
-}
-
-// touch records flow rows' nodes as changed.
-func (m *deltaMut) touch(nodes []graph.NodeID) {
-	for _, v := range nodes {
-		if !m.touched[v] {
-			m.touched[v] = true
-			m.touchedList = append(m.touchedList, v)
+		lo, hi := sh.flowRange(op.Flow)
+		for idx := lo; idx < hi; idx++ {
+			b, be := sh.visitRange(sh.flowNode[idx])
+			bucket := sh.visitFlow[b:be]
+			pos := sort.Search(len(bucket), func(x int) bool { return bucket[x] >= int32(op.Flow) })
+			sh.visitGain[int(b)+pos] = u.Prob(sh.flowDetour[idx], f.Alpha) * f.Volume
 		}
 	}
 }
 
-// applyOne routes one validated update to its arena mutation.
-func (m *deltaMut) applyOne(op FlowUpdate) error {
-	switch op.Op {
-	case OpSetVolume:
-		return m.setVolume(op.Flow, op.Volume)
-	case OpRemoveFlow:
-		return m.removeFlow(op.Flow)
-	case OpAddFlow:
-		return m.addFlow(op.Add)
+// rebuildShards lays the simulated flow set out with shardBounds, as
+// buildEngine does. Shards that end below low are kept as they are:
+// shardBounds packs greedily from the front, and their flows and the
+// count that closed them are unchanged. The rest are assembled from
+// per-flow rows, the stored rows of a survivor or one newFlowRows column
+// for an added flow, with gains recomputed as Prob(detour, alpha) *
+// volume. No Dijkstra runs for survivors, and no stored array is written:
+// kept shards are shared, rebuilt ones are fresh.
+func (e *Engine) rebuildShards(flows []flow.Flow, src []int, low int, touch func([]graph.NodeID)) ([]arenaShard, error) {
+	nodes := make([][]graph.NodeID, len(flows))
+	dets := make([][]float64, len(flows))
+	counts := make([]int, len(flows))
+	for i, s := range src {
+		if s >= 0 {
+			nodes[i], dets[i] = e.flowRows(s)
+		} else {
+			var err error
+			if nodes[i], dets[i], err = e.newFlowRows(flows[i]); err != nil {
+				return nil, err
+			}
+			touch(nodes[i])
+		}
+		counts[i] = len(nodes[i])
 	}
-	return fmt.Errorf("%w: unknown op %v", ErrBadUpdate, op.Op)
-}
-
-// setVolume rewrites flow f's visit gains from its stored detours. The
-// recompute calls the same Prob(detour, alpha) * volume a fresh build
-// would, on the same detour bits, so the result is bit-identical — a
-// multiplicative rescale by newVolume/oldVolume would not be.
-func (m *deltaMut) setVolume(f int, volume float64) error {
-	e := m.e
-	nf, err := flow.New(m.flows[f].ID, m.flows[f].Path, volume, m.flows[f].Alpha)
+	bounds, err := shardBounds(counts, e.maxShardVisits)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m.flows[f] = nf
-	si := e.shardIndexForFlow(f)
-	sh := &e.shards[si]
-	gains := m.writableGain(si)
-	u := e.p.Utility
-	lo, hi := sh.flowRange(f)
-	for idx := lo; idx < hi; idx++ {
-		v := sh.flowNode[idx]
-		gain := u.Prob(sh.flowDetour[idx], nf.Alpha) * nf.Volume
-		b, be := sh.visitRange(v)
-		bucket := sh.visitFlow[b:be]
-		pos := sort.Search(len(bucket), func(x int) bool { return bucket[x] >= int32(f) })
-		gains[int(b)+pos] = gain
+	keep := 0
+	for keep < len(e.shards) && int(e.shards[keep].flowHi) < low {
+		keep++
 	}
-	m.touch(sh.flowNode[lo:hi])
-	return nil
-}
-
-// removeFlow splices flow f out of its owning shard and renumbers the
-// flows above it. When the greedy shard packing of the shrunken counts
-// diverges from the incremental partition (a later flow may now fit an
-// earlier shard), the arenas are resharded from their stored rows instead
-// — still no Dijkstra runs.
-func (m *deltaMut) removeFlow(f int) error {
-	e := m.e
-	si := e.shardIndexForFlow(f)
-	lo, hi := e.shards[si].flowRange(f)
-	m.touch(e.shards[si].flowNode[lo:hi])
-
-	newCounts := append(append([]int(nil), m.counts[:f]...), m.counts[f+1:]...)
-	newFlows := append(append([]flow.Flow(nil), m.flows[:f]...), m.flows[f+1:]...)
-	fresh, err := shardBounds(newCounts, e.maxShardVisits)
-	if err != nil {
-		return err // counts only shrank; unreachable
-	}
-
-	// Incremental partition: the owner loses one flow, everything above
-	// shifts down, empty shards drop.
-	var inc [][2]int
-	for _, b := range e.curBounds() {
-		blo, bhi := b[0], b[1]
-		if f < blo {
-			blo--
+	shards := make([]arenaShard, len(bounds))
+	copy(shards, e.shards[:keep])
+	n, u := e.p.Graph.NumNodes(), e.p.Utility
+	for si := keep; si < len(bounds); si++ {
+		lo, hi := bounds[si][0], bounds[si][1]
+		sh := &shards[si]
+		sh.flowLo, sh.flowHi = int32(lo), int32(hi)
+		off, total, err := flowOffsets(counts[lo:hi])
+		if err != nil {
+			return nil, err
 		}
-		if f < bhi {
-			bhi--
-		}
-		if blo < bhi {
-			inc = append(inc, [2]int{blo, bhi})
-		}
-	}
-	if !boundsEqual(fresh, inc) {
-		if err := m.reshard(newFlows, fresh, func(i int) ([]graph.NodeID, []float64) {
-			old := i
-			if i >= f {
-				old = i + 1
-			}
-			return e.flowRows(old)
-		}); err != nil {
-			return err
-		}
-		m.flows, m.counts = newFlows, newCounts
-		return nil
-	}
-
-	// Fast path: splice the owner shard, renumber later shards.
-	sh := &e.shards[si]
-	cnt := hi - lo
-	lf := f - int(sh.flowLo)
-
-	fOff := make([]int32, len(sh.flowOff)-1)
-	copy(fOff, sh.flowOff[:lf+1])
-	for k := lf + 1; k < len(fOff); k++ {
-		fOff[k] = sh.flowOff[k+1] - int32(cnt)
-	}
-	fNode := make([]graph.NodeID, len(sh.flowNode)-cnt)
-	copy(fNode, sh.flowNode[:lo])
-	copy(fNode[lo:], sh.flowNode[hi:])
-	fDet := make([]float64, len(sh.flowDetour)-cnt)
-	copy(fDet, sh.flowDetour[:lo])
-	copy(fDet[lo:], sh.flowDetour[hi:])
-
-	n := e.p.Graph.NumNodes()
-	total := len(sh.visitFlow) - cnt
-	vOff := make([]int32, n+1)
-	vFlow := make([]int32, total)
-	vDet := make([]float64, total)
-	vGain := make([]float64, total)
-	w := 0
-	for v := 0; v < n; v++ {
-		vOff[v] = int32(w)
-		for i := sh.visitOff[v]; i < sh.visitOff[v+1]; i++ {
-			fi := sh.visitFlow[i]
-			if int(fi) == f {
-				continue
-			}
-			if int(fi) > f {
-				fi--
-			}
-			vFlow[w] = fi
-			vDet[w] = sh.visitDetour[i]
-			vGain[w] = sh.visitGain[i]
-			w++
-		}
-	}
-	vOff[n] = int32(w)
-	sh.flowOff, sh.flowNode, sh.flowDetour = fOff, fNode, fDet
-	sh.visitOff, sh.visitFlow, sh.visitDetour, sh.visitGain = vOff, vFlow, vDet, vGain
-	sh.flowHi--
-	m.markFresh(si)
-
-	drop := -1
-	for sj := si + 1; sj < len(e.shards); sj++ {
-		sh2 := &e.shards[sj]
-		sh2.flowLo--
-		sh2.flowHi--
-		vf := m.writableVisitFlow(sj)
-		for i := range vf {
-			vf[i]-- // every flow in a later shard has index > f
-		}
-	}
-	if sh.flowLo == sh.flowHi {
-		drop = si
-	}
-	if drop >= 0 {
-		e.shards = append(e.shards[:drop], e.shards[drop+1:]...)
-		if m.cow {
-			m.gainOK = append(m.gainOK[:drop], m.gainOK[drop+1:]...)
-			m.flowOK = append(m.flowOK[:drop], m.flowOK[drop+1:]...)
-		}
-	}
-	m.flows, m.counts = newFlows, newCounts
-	return nil
-}
-
-// addFlow appends f as the highest flow index. The greedy shard packing of
-// an appended count always extends the last shard when it fits and opens a
-// fresh shard otherwise (the prefix packing cannot change), so adds never
-// reshard.
-func (m *deltaMut) addFlow(f flow.Flow) error {
-	e := m.e
-	nf, err := flow.New(f.ID, f.Path, f.Volume, f.Alpha)
-	if err != nil {
-		return err
-	}
-	if err := nf.Validate(e.p.Graph); err != nil {
-		return err
-	}
-	nodes, dets, err := e.newFlowRows(nf)
-	if err != nil {
-		return err
-	}
-	gains := make([]float64, len(nodes))
-	u := e.p.Utility
-	for j, d := range dets {
-		gains[j] = u.Prob(d, nf.Alpha) * nf.Volume
-	}
-	m.touch(nodes)
-
-	idx := len(m.flows) // the new global flow index
-	cnt := len(nodes)
-	si := len(e.shards) - 1
-	last := &e.shards[si]
-	n := e.p.Graph.NumNodes()
-
-	if len(last.visitFlow)+cnt > e.maxShardVisits {
-		// Fresh shard holding just the new flow.
-		sh := arenaShard{
-			flowLo: int32(idx), flowHi: int32(idx + 1),
-			flowOff:     []int32{0, int32(cnt)},
-			flowNode:    nodes,
-			flowDetour:  dets,
-			visitOff:    make([]int32, n+1),
-			visitFlow:   make([]int32, cnt),
-			visitDetour: append([]float64(nil), dets...),
-			visitGain:   append([]float64(nil), gains...),
-		}
-		// One flow, sorted nodes: the visit arena is the flow arena with a
-		// one-entry bucket per path node.
-		j := 0
-		for v := 0; v < n; v++ {
-			sh.visitOff[v] = int32(j)
-			if j < cnt && nodes[j] == graph.NodeID(v) {
-				sh.visitFlow[j] = int32(idx)
-				j++
+		sh.flowOff = off
+		sh.flowNode = make([]graph.NodeID, 0, total)
+		sh.flowDetour = make([]float64, 0, total)
+		gain := make([]float64, 0, total)
+		for i := lo; i < hi; i++ {
+			sh.flowNode = append(sh.flowNode, nodes[i]...)
+			sh.flowDetour = append(sh.flowDetour, dets[i]...)
+			for _, d := range dets[i] {
+				gain = append(gain, u.Prob(d, flows[i].Alpha)*flows[i].Volume)
 			}
 		}
-		sh.visitOff[n] = int32(cnt)
-		e.shards = append(e.shards, sh)
-		if m.cow {
-			m.gainOK = append(m.gainOK, true)
-			m.flowOK = append(m.flowOK, true)
-		}
-	} else {
-		// Extend the last shard: the new flow has the highest index, so its
-		// entries land at the end of each node's bucket.
-		total := len(last.visitFlow) + cnt
-		vOff := make([]int32, n+1)
-		vFlow := make([]int32, total)
-		vDet := make([]float64, total)
-		vGain := make([]float64, total)
-		w, j := 0, 0
-		for v := 0; v < n; v++ {
-			vOff[v] = int32(w)
-			for i := last.visitOff[v]; i < last.visitOff[v+1]; i++ {
-				vFlow[w] = last.visitFlow[i]
-				vDet[w] = last.visitDetour[i]
-				vGain[w] = last.visitGain[i]
-				w++
-			}
-			if j < cnt && nodes[j] == graph.NodeID(v) {
-				vFlow[w] = int32(idx)
-				vDet[w] = dets[j]
-				vGain[w] = gains[j]
-				w++
-				j++
-			}
-		}
-		vOff[n] = int32(w)
-		last.visitOff, last.visitFlow, last.visitDetour, last.visitGain = vOff, vFlow, vDet, vGain
-		last.flowOff = append(append([]int32(nil), last.flowOff...), last.flowOff[len(last.flowOff)-1]+int32(cnt))
-		last.flowNode = append(append([]graph.NodeID(nil), last.flowNode...), nodes...)
-		last.flowDetour = append(append([]float64(nil), last.flowDetour...), dets...)
-		last.flowHi++
-		m.markFresh(si)
+		sh.assembleVisits(n, gain, nil)
 	}
-	m.flows = append(m.flows, nf)
-	m.counts = append(m.counts, cnt)
-	return nil
+	return shards, nil
 }
 
 // flowRows returns global flow f's stored rows (sorted distinct path
@@ -625,73 +382,4 @@ func (e *Engine) newFlowRows(f flow.Flow) ([]graph.NodeID, []float64, error) {
 		dets[j] = detourValue(e.toShops, e.fromShops, v, f.Dest, cols[0][j])
 	}
 	return nodes, dets, nil
-}
-
-// reshard rebuilds every shard from per-flow rows under a freshly computed
-// partition, mirroring buildEngine's serial assembly (and therefore its
-// bit layout) with gains recomputed as Prob(detour, alpha) * volume.
-func (m *deltaMut) reshard(flows []flow.Flow, bounds [][2]int, rows func(i int) ([]graph.NodeID, []float64)) error {
-	e := m.e
-	n := e.p.Graph.NumNodes()
-	u := e.p.Utility
-	shards := make([]arenaShard, len(bounds))
-	for si, b := range bounds {
-		lo, hi := b[0], b[1]
-		sh := &shards[si]
-		sh.flowLo, sh.flowHi = int32(lo), int32(hi)
-		lens := make([]int, hi-lo)
-		for k := range lens {
-			nodes, _ := rows(lo + k)
-			lens[k] = len(nodes)
-		}
-		flowOff, total, err := flowOffsets(lens)
-		if err != nil {
-			return err
-		}
-		sh.flowOff = flowOff
-		sh.flowNode = make([]graph.NodeID, total)
-		sh.flowDetour = make([]float64, total)
-		flowGain := make([]float64, total)
-		for k := 0; k < hi-lo; k++ {
-			nodes, dets := rows(lo + k)
-			f := flows[lo+k]
-			base := int(flowOff[k])
-			for j := range nodes {
-				sh.flowNode[base+j] = nodes[j]
-				sh.flowDetour[base+j] = dets[j]
-				flowGain[base+j] = u.Prob(dets[j], f.Alpha) * f.Volume
-			}
-		}
-		sh.visitOff = make([]int32, n+1)
-		for _, v := range sh.flowNode {
-			sh.visitOff[v+1]++
-		}
-		for v := 0; v < n; v++ {
-			sh.visitOff[v+1] += sh.visitOff[v]
-		}
-		sh.visitFlow = make([]int32, total)
-		sh.visitDetour = make([]float64, total)
-		sh.visitGain = make([]float64, total)
-		cursor := make([]int32, n)
-		for k := 0; k < hi-lo; k++ {
-			for idx := int(flowOff[k]); idx < int(flowOff[k+1]); idx++ {
-				v := sh.flowNode[idx]
-				at := sh.visitOff[v] + cursor[v]
-				cursor[v]++
-				sh.visitFlow[at] = int32(lo + k)
-				sh.visitDetour[at] = sh.flowDetour[idx]
-				sh.visitGain[at] = flowGain[idx]
-			}
-		}
-	}
-	e.shards = shards
-	if m.cow {
-		m.gainOK = make([]bool, len(shards))
-		m.flowOK = make([]bool, len(shards))
-		for i := range shards {
-			m.gainOK[i] = true
-			m.flowOK[i] = true
-		}
-	}
-	return nil
 }

@@ -157,9 +157,9 @@ func TestDeltaIdentity(t *testing.T) {
 }
 
 // TestDeltaIdentitySharded forces multi-shard engines through the delta
-// path: removals whose greedy repacking diverges trigger the reshard
-// fallback, additions open fresh shards, and the result must still match
-// a fresh sharded build bit for bit.
+// path: structural batches rebuild the shards above the lowest named flow,
+// and both ApplyCopy and Apply must match a fresh sharded build bit for
+// bit, ApplyCopy without touching its receiver.
 func TestDeltaIdentitySharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for trial := 0; trial < 6; trial++ {
@@ -182,6 +182,15 @@ func TestDeltaIdentitySharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := eng.Fingerprint()
+		cp, _, err := eng.ApplyCopy(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.Fingerprint() != before {
+			t.Fatal("sharded ApplyCopy mutated the receiver's arenas")
+		}
+		assertDeltaMatchesFresh(t, cp, fresh)
 		if _, err := eng.Apply(ops); err != nil {
 			t.Fatal(err)
 		}
@@ -290,6 +299,36 @@ func TestDeltaErrors(t *testing.T) {
 	}
 	if eng.Fingerprint() != before {
 		t.Fatal("failed Apply mutated the engine")
+	}
+}
+
+// TestDeltaOverflowWritesNothing covers the one structural failure that
+// surfaces after the batch simulates cleanly: an added flow with more
+// distinct nodes than the shard budget. Neither Apply's engine nor
+// ApplyCopy's receiver may change.
+func TestDeltaOverflowWritesNothing(t *testing.T) {
+	eng, err := NewEngineMaxShard(fig4Problem(t, utility.Linear{D: 10}), 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Fingerprint()
+	big, err := flow.New("big", []graph.NodeID{0, 1, 2, 4, 5}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []FlowUpdate{
+		{Op: OpSetVolume, Flow: 2, Volume: 9},
+		{Op: OpRemoveFlow, Flow: 1},
+		{Op: OpAddFlow, Add: big},
+	}
+	if _, _, err := eng.ApplyCopy(ops); !errors.Is(err, ErrArenaOverflow) {
+		t.Fatalf("ApplyCopy: err = %v, want ErrArenaOverflow", err)
+	}
+	if _, err := eng.Apply(ops); !errors.Is(err, ErrArenaOverflow) {
+		t.Fatalf("Apply: err = %v, want ErrArenaOverflow", err)
+	}
+	if eng.Fingerprint() != before || eng.Problem().Flows.Len() != 4 {
+		t.Fatal("failed structural batch mutated the engine")
 	}
 }
 

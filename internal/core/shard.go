@@ -70,11 +70,51 @@ func (sh *arenaShard) flowRange(f int) (int, int) {
 	return int(sh.flowOff[lf]), int(sh.flowOff[lf+1])
 }
 
-// shardForFlow returns the shard owning global flow index f. Shards cover
-// [0, numFlows) contiguously, so the binary search always lands.
-func (e *Engine) shardForFlow(f int) *arenaShard {
-	si := sort.Search(len(e.shards), func(i int) bool { return int(e.shards[i].flowHi) > f })
-	return &e.shards[si]
+// shardIndexForFlow returns the index of the shard owning global flow
+// index f. Shards cover [0, numFlows) contiguously, so the binary search
+// always lands.
+func (e *Engine) shardIndexForFlow(f int) int {
+	return sort.Search(len(e.shards), func(i int) bool { return int(e.shards[i].flowHi) > f })
+}
+
+// shardForFlow returns the shard owning global flow index f.
+func (e *Engine) shardForFlow(f int) *arenaShard { return &e.shards[e.shardIndexForFlow(f)] }
+
+// assembleVisits fills the shard's visit arena from its flow arena with a
+// counting sort on node, scattering flows in index order so each node's
+// bucket is ordered by ascending flow. gain and rem (nil unless the model
+// composes independently) are indexed like the flow arena. buildEngine and
+// structural deltas both assemble here, so a rebuilt shard has a fresh
+// build's layout bit for bit.
+func (sh *arenaShard) assembleVisits(n int, gain, rem []float64) {
+	total := len(sh.flowNode)
+	sh.visitOff = make([]int32, n+1)
+	for _, v := range sh.flowNode {
+		sh.visitOff[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		sh.visitOff[v+1] += sh.visitOff[v]
+	}
+	sh.visitFlow = make([]int32, total)
+	sh.visitDetour = make([]float64, total)
+	sh.visitGain = make([]float64, total)
+	if rem != nil {
+		sh.visitRem = make([]float64, total)
+	}
+	cursor := make([]int32, n)
+	for k := 0; k+1 < len(sh.flowOff); k++ {
+		for idx := sh.flowOff[k]; idx < sh.flowOff[k+1]; idx++ {
+			v := sh.flowNode[idx]
+			at := sh.visitOff[v] + cursor[v]
+			cursor[v]++
+			sh.visitFlow[at] = sh.flowLo + int32(k)
+			sh.visitDetour[at] = sh.flowDetour[idx]
+			sh.visitGain[at] = gain[idx]
+			if rem != nil {
+				sh.visitRem[at] = rem[idx]
+			}
+		}
+	}
 }
 
 // NumShards reports how many arena shards the engine was built with. One
@@ -327,36 +367,8 @@ func buildEngine(p *Problem, workers, maxShardVisits int) (*Engine, error) {
 			Start: detStart, Duration: time.Since(detStart),
 		})
 
-		// Serial scatter into the visit arena, iterating flows in index
-		// order so each node's bucket is ordered by ascending flow.
 		asmStart := time.Now()
-		sh.visitOff = make([]int32, n+1)
-		for _, v := range sh.flowNode {
-			sh.visitOff[v+1]++
-		}
-		for v := 0; v < n; v++ {
-			sh.visitOff[v+1] += sh.visitOff[v]
-		}
-		sh.visitFlow = make([]int32, total)
-		sh.visitDetour = make([]float64, total)
-		sh.visitGain = make([]float64, total)
-		if flowRem != nil {
-			sh.visitRem = make([]float64, total)
-		}
-		cursor := make([]int32, n)
-		for k := 0; k < hi-lo; k++ {
-			for idx := int(flowOff[k]); idx < int(flowOff[k+1]); idx++ {
-				v := sh.flowNode[idx]
-				at := sh.visitOff[v] + cursor[v]
-				cursor[v]++
-				sh.visitFlow[at] = int32(lo + k)
-				sh.visitDetour[at] = sh.flowDetour[idx]
-				sh.visitGain[at] = flowGain[idx]
-				if flowRem != nil {
-					sh.visitRem[at] = flowRem[idx]
-				}
-			}
-		}
+		sh.assembleVisits(n, flowGain, flowRem)
 		o.Phase(obs.Phase{
 			Component: "core.engine", Name: "assemble",
 			Items: total, Workers: 1,

@@ -76,9 +76,8 @@ func deltaOps(inst *Instance) ([]core.FlowUpdate, error) {
 // every solver placement, and every evaluated prefix. It also pins the
 // warm-start path: a Warm cache refreshed with the update's touched set
 // seeds GreedyLazyWarm to the exact placement of a cold GreedyLazy. Odd
-// seeds build under a deliberately tiny shard budget so remove-triggered
-// resharding and add-triggered shard growth are exercised, not just the
-// single-shard fast paths.
+// seeds build under a deliberately tiny shard budget, so structural
+// batches keep some shards and rebuild the rest, not just one shard.
 func checkDeltaIdentity(inst *Instance) error {
 	p := inst.Problem
 	build := func(pr *core.Problem) (*core.Engine, error) {

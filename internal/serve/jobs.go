@@ -103,6 +103,11 @@ type job struct {
 func (j *job) status() *JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked is status with j.mu already held.
+func (j *job) statusLocked() *JobStatus {
 	return &JobStatus{ID: j.id, Kind: j.kind, State: j.state, Result: j.result, Error: j.apiErr}
 }
 
@@ -348,7 +353,7 @@ func (q *jobs) get(id string) (*JobStatus, *APIError) {
 		return nil, errorf(http.StatusGone, CodeJobExpired,
 			"job %q finished more than %v ago; its result has been released", id, q.ttl)
 	}
-	st := &JobStatus{ID: j.id, Kind: j.kind, State: j.state, Result: j.result, Error: j.apiErr}
+	st := j.statusLocked()
 	j.mu.Unlock()
 	return st, nil
 }
@@ -377,7 +382,7 @@ func (q *jobs) cancelJob(id string) (*JobStatus, *APIError) {
 			j.cancel()
 		}
 	}
-	st := &JobStatus{ID: j.id, Kind: j.kind, State: j.state, Result: j.result, Error: j.apiErr}
+	st := j.statusLocked()
 	j.mu.Unlock()
 	return st, nil
 }

@@ -305,7 +305,7 @@ func TestJobCancel(t *testing.T) {
 	}
 	// The cancel raced job completion; the usual outcome with a stalled
 	// worker is canceled-at-pop. Either way a second cancel is a no-op.
-	resp2, err := http.DefaultClient.Do(req.Clone(t.Context()))
+	resp2, err := http.DefaultClient.Do(req.Clone(context.Background()))
 	if err != nil {
 		t.Fatal(err)
 	}
